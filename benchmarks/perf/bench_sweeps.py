@@ -17,18 +17,20 @@ earlier window does not.  If the seed commit is unavailable (shallow
 clone), the harness falls back to the recorded same-box constant and
 ``seed_source`` in the JSON says so.
 
-Both timing children warm up on a one-job sweep first and disable the
+Every timing child warms up on a one-job sweep first and disables the
 cyclic GC around the timed region (the workload allocates no cycles on
-the hot path; both trees get the identical treatment).
+the hot path; every run gets the identical treatment).  The parallel
+sweep is timed exactly like the serial one: fresh children, interleaved
+with the others, best of ``CURRENT_REPS``.  Each current-tree child also
+prints a digest of its results, so serial and parallel identity is
+checked without a further in-process sweep.
 
 The acceptance gate is the better of the serial and parallel speedups
 reaching 2x.  Requested workers are capped at ``os.cpu_count()`` by
-:func:`repro.experiments.common.effective_workers` — on a single-core
-box the "parallel" run therefore takes the serial in-process path
-instead of paying process-pool overhead for nothing (the regression the
-earlier BENCH_sweeps.json recorded: 42.41 s parallel vs 39.03 s serial
-at ``cpu_count: 1``).  The JSON records both the requested and the
-effective worker count.
+:func:`repro.experiments.common.effective_workers`; at an effective
+count of 1 the "parallel" sweep *is* the serial in-process path, so it
+is not timed and the JSON carries no parallel fields.  The JSON records
+both the requested and the effective worker count.
 """
 
 from __future__ import annotations
@@ -40,14 +42,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.common import effective_workers  # noqa: E402
-from repro.experiments.figure6 import run_figure6  # noqa: E402
 
 SEED_COMMIT = "369a02e"
 #: Recorded same-box seed constant (fallback when the seed commit is
@@ -61,17 +61,19 @@ SEED_REPS = 2
 
 #: Timing child: warm up on a one-job sweep, then time the default
 #: sweep with the cyclic GC off.  The seed tree's ``run_figure6`` takes
-#: no ``workers`` argument, so the child calls the zero-arg form both
-#: trees share.
+#: no ``workers`` argument, so the worker count is passed only when
+#: given.  Prints the seconds, a digest of the results and their count.
 _CHILD = """\
-import gc, sys, time
+import gc, hashlib, sys, time
 sys.path.insert(0, sys.argv[1])
 from repro.experiments.figure6 import run_figure6
-run_figure6(jobs=(1,))
+kwargs = {"workers": int(sys.argv[2])} if len(sys.argv) > 2 else {}
+run_figure6(jobs=(1,), **kwargs)
 gc.disable()
 t0 = time.perf_counter()
-run_figure6()
+points = run_figure6(**kwargs)
 print(time.perf_counter() - t0)
+print(hashlib.sha256(repr(points).encode()).hexdigest(), len(points))
 """
 
 
@@ -90,10 +92,13 @@ def _extract_seed() -> Path | None:
         return None
 
 
-def _time_sweep(src: Path) -> float:
-    out = subprocess.run([sys.executable, "-c", _CHILD, str(src)],
-                         check=True, capture_output=True, text=True)
-    return float(out.stdout.strip())
+def _time_sweep(src: Path, *workers: int) -> tuple[float, str, int]:
+    """(seconds, results digest, points) of one sweep in a fresh child."""
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(src), *map(str, workers)],
+        check=True, capture_output=True, text=True)
+    seconds, digest, points = out.stdout.split()
+    return float(seconds), digest, int(points)
 
 
 def main() -> int:
@@ -103,43 +108,36 @@ def main() -> int:
     print(f"seed baseline: {seed_source}")
 
     current_src = REPO_ROOT / "src"
-    serial_s = float("inf")
+    effective = effective_workers(WORKERS)
+    timed_parallel = effective > 1
+    serial_s = parallel_s = float("inf")
     seed_s = SEED_RECORDED_SECONDS if seed_src is None else float("inf")
+    digests = set()
     for rep in range(max(CURRENT_REPS, SEED_REPS)):
         if rep < CURRENT_REPS:
-            serial_s = min(serial_s, _time_sweep(current_src))
+            seconds, digest, points = _time_sweep(current_src)
+            serial_s = min(serial_s, seconds)
+            digests.add(digest)
+            if timed_parallel:
+                seconds, digest, _ = _time_sweep(current_src, WORKERS)
+                parallel_s = min(parallel_s, seconds)
+                digests.add(digest)
         if seed_src is not None and rep < SEED_REPS:
-            seed_s = min(seed_s, _time_sweep(seed_src))
+            seed_s = min(seed_s, _time_sweep(seed_src)[0])
         print(f"  rep {rep}: current best {serial_s:6.1f} s, "
-              f"seed best {seed_s:6.1f} s")
-
-    # Identity + parallel timing run in-process: the executor needs the
-    # results in hand to compare, and the parallel path is gated on the
-    # effective worker count either way.
-    serial = run_figure6(workers=1)
-    t0 = time.perf_counter()  # simlint: ignore[SIM001] -- benchmark measures host wall time by design
-    parallel = run_figure6(workers=WORKERS)
-    parallel_s = time.perf_counter() - t0  # simlint: ignore[SIM001] -- benchmark measures host wall time by design
-
-    identical = serial == parallel
-    serial_speedup = seed_s / serial_s
-    parallel_speedup = seed_s / parallel_s
-    effective = effective_workers(WORKERS)
-    print(f"  serial        {serial_s:7.1f} s   "
-          f"(seed {seed_s:.1f} s, x{serial_speedup:.2f})")
-    print(f"  --jobs {WORKERS}      {parallel_s:7.1f} s   "
-          f"(x{parallel_speedup:.2f} vs seed serial, "
-          f"effective workers {effective})")
-    print(f"  serial == parallel: {identical}")
-    if effective == 1:
-        print("  note: single-core box — the worker cap routes the "
-              "parallel run through the serial in-process path")
+              + (f"parallel best {parallel_s:6.1f} s, "
+                 if timed_parallel else "")
+              + f"seed best {seed_s:6.1f} s")
     if seed_src is not None:
         shutil.rmtree(seed_src.parent, ignore_errors=True)
 
+    identical = len(digests) == 1
+    serial_speedup = seed_s / serial_s
+    print(f"  serial        {serial_s:7.1f} s   "
+          f"(seed {seed_s:.1f} s, x{serial_speedup:.2f})")
     payload = {
         "benchmark": "figure6-sweep-wallclock",
-        "points": len(serial),
+        "points": points,
         "workers": WORKERS,
         "effective_workers": effective,
         "current_reps": CURRENT_REPS,
@@ -150,19 +148,30 @@ def main() -> int:
         "seed_source": seed_source,
         "seed_serial_seconds": round(seed_s, 2),
         "serial_seconds": round(serial_s, 2),
-        "parallel_seconds": round(parallel_s, 2),
         "serial_speedup_vs_seed": round(serial_speedup, 2),
-        "parallel_speedup_vs_seed": round(parallel_speedup, 2),
-        "parallel_identical_to_serial": identical,
     }
+    best_speedup = serial_speedup
+    if timed_parallel:
+        parallel_speedup = seed_s / parallel_s
+        best_speedup = max(best_speedup, parallel_speedup)
+        print(f"  --jobs {WORKERS}      {parallel_s:7.1f} s   "
+              f"(x{parallel_speedup:.2f} vs seed serial, "
+              f"effective workers {effective})")
+        print(f"  serial == parallel: {identical}")
+        payload.update(parallel_seconds=round(parallel_s, 2),
+                       parallel_speedup_vs_seed=round(parallel_speedup, 2),
+                       parallel_identical_to_serial=identical)
+    else:
+        print("  note: effective workers 1 — the parallel sweep is the "
+              "serial path, so it is not timed")
     out = REPO_ROOT / "BENCH_sweeps.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
 
     if not identical:
-        print("FAIL: parallel sweep results differ from serial")
+        print("FAIL: sweep results differ between runs")
         return 1
-    if max(serial_speedup, parallel_speedup) < 2.0:
+    if best_speedup < 2.0:
         print("FAIL: sweep is not 2x faster than the seed serial run")
         return 1
     print("sweep targets met")

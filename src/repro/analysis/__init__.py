@@ -1,6 +1,1 @@
-"""Post-processing of simulation output: schedule timelines and switch
-breakdowns rendered as text."""
-
-from repro.analysis.timeline import ScheduleTimeline, render_switch_breakdown
-
-__all__ = ["ScheduleTimeline", "render_switch_breakdown"]
+"""Static analysis of the simulator's own source (:mod:`simlint`)."""

@@ -140,8 +140,8 @@ class SpanPairingRule(Rule):
     """A ``spans.begin()`` result must reach ``spans.end()`` on every
     non-exception path.
 
-    An open span truncates the emitted stream and breaks the
-    ``build_spans`` audits; re-binding a handle while a prior span is
+    An open span truncates the emitted stream and breaks the span
+    audits; re-binding a handle while a prior span is
     still open silently drops the first one.  Handles that escape the
     function (returned, stored in a container, passed to another call)
     transfer ownership and are not reported — see
@@ -155,7 +155,7 @@ class SpanPairingRule(Rule):
                    "non-exception path to the function exit without "
                    "reaching <tracer>.end() (or is re-bound while "
                    "open) — open spans truncate the trace stream and "
-                   "fail the build_spans audits")
+                   "fail the span audits")
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         for fn in ast.walk(module.tree):

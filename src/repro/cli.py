@@ -220,14 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
                          "since BASE (default HEAD = uncommitted "
                          "changes); the whole tree is still indexed so "
                          "interprocedural rules see full context")
-    pl.add_argument("--cache", nargs="?", const="auto", default=None,
-                    metavar="FILE",
-                    help="reuse results across runs via a JSON cache "
-                         "keyed by file sha + rule inventory "
-                         "(default location: .simlint_cache.json at "
-                         "the repo root)")
+    pl.add_argument("--cache-file", dest="cache_file", metavar="PATH",
+                    default=None,
+                    help="reuse results across runs via this JSON cache "
+                         "file, keyed by file sha + rule inventory "
+                         "(.simlint_cache.json at the repo root is "
+                         "git-ignored)")
     pl.add_argument("--no-cache", action="store_true",
-                    help="ignore --cache (escape hatch for scripts)")
+                    help="ignore --cache-file (escape hatch for scripts)")
     pl.add_argument("--sarif-out", metavar="REPORT.sarif", default=None,
                     help="also write the SARIF 2.1.0 report here "
                          "(CI code-scanning artifact)")
@@ -334,7 +334,8 @@ def _write_merged_telemetry(path: str, snapshots) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "list":
         for name, desc in EXPERIMENTS.items():
@@ -635,11 +636,12 @@ def main(argv=None) -> int:
 
         import repro
         from repro.analysis.simlint import (
-            DEFAULT_CACHE_NAME, LintCache, all_rules,
-            diff_against_baseline, lint_paths, load_baseline,
-            render_baseline, render_json, render_sarif, render_text,
-            rules_inventory_hash)
+            LintCache, all_rules, diff_against_baseline, lint_paths,
+            load_baseline, render_baseline, render_json, render_sarif,
+            render_text, rules_inventory_hash)
 
+        if args.cache_file and Path(args.cache_file).is_dir():
+            parser.error(f"--cache-file {args.cache_file}: is a directory")
         package_dir = Path(repro.__file__).resolve().parent
         repo_root = package_dir.parent.parent
         paths = args.paths if args.paths else [package_dir]
@@ -653,10 +655,8 @@ def main(argv=None) -> int:
                       "reporting the full tree", file=sys.stderr)
 
         cache = None
-        if args.cache and not args.no_cache:
-            cache_path = (repo_root / DEFAULT_CACHE_NAME
-                          if args.cache == "auto" else Path(args.cache))
-            cache = LintCache(cache_path)
+        if args.cache_file and not args.no_cache:
+            cache = LintCache(Path(args.cache_file))
 
         result = lint_paths(paths, root=repo_root, cache=cache,
                             report_paths=report_paths)

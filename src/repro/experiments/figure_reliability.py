@@ -38,7 +38,7 @@ from repro.faults.retransmit import RetransmitPolicy
 from repro.faults.strategies import STRATEGY_NAMES
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
-from repro.telemetry.spans import derive_retransmit_spans
+from repro.telemetry.causal import TraceConsumer
 from repro.units import MB
 from repro.workloads.alltoall import alltoall_benchmark
 
@@ -130,8 +130,11 @@ def _measure_point(strategy: str, drop: float, rounds: int,
     goodput = delivered / elapsed / MB if elapsed > 0 else 0.0
 
     firmwares = [g.firmware for g in cluster.glue]
-    epochs = derive_retransmit_spans(cluster.tracer.records,
-                                     truncated=cluster.tracer.truncated)
+    # Only these kinds move a retransmit epoch; the replay skips the rest.
+    epochs = TraceConsumer.of(
+        rec for rec in cluster.tracer.records
+        if rec.kind in ("rto-retransmit", "rto-give-up", "pkt-deliver")
+    ).retransmit_spans(truncated=cluster.tracer.truncated)
 
     # drop=0.0 disables the fault spec entirely, so no injector exists.
     excused = (set(cluster.fault_injector.faulted_seqs)

@@ -65,9 +65,12 @@ class ClusterConfig:
     ethernet: EthernetSpec = field(default_factory=EthernetSpec)
     strict_no_loss: bool = True
     seed: int = 0
+    #: Keep every trace record in ``cluster.tracer.records`` (for tests
+    #: and raw-record outputs).
     trace: bool = False
     #: Unified telemetry (metrics registry + kernel profiler + span
-    #: tracing).  Implies tracing; off by default because observability
+    #: tracing).  Implies tracing, analysed live; records are kept only
+    #: if ``trace`` is also set.  Off by default because observability
     #: must never tax the measured runs — see the determinism contract in
     #: :mod:`repro.telemetry.session`.
     telemetry: bool = False
@@ -175,7 +178,7 @@ class ParParCluster:
         if config.telemetry:
             from repro.telemetry.session import Telemetry
             self.telemetry: Optional["Telemetry"] = Telemetry(
-                clock=lambda: self.sim.now)
+                clock=lambda: self.sim.now, keep_records=config.trace)
             self.tracer = self.telemetry.tracer
             self.spans = self.telemetry.spans
             self.sim.profiler = self.telemetry.profiler

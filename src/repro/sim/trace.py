@@ -43,19 +43,30 @@ class Tracer:
     ``if tracer and tracer.wants("pkt-tx"):`` so a filtered-out kind costs
     one membership test instead of a dict build plus a discarded call.
 
+    ``sink``, if given, is called as ``sink(time, kind, fields)`` for every
+    record that passes the ``kinds`` filter, live, so an incremental
+    consumer can analyse the stream without it ever being stored.
+    ``keep=False`` then drops each record once the sink has seen it:
+    ``records`` stays empty.
+
     ``limit`` caps the record list so an unbounded run cannot silently
     exhaust memory: once ``limit`` records are held the tracer disables
     itself (all ``if tracer:`` guards go cold) and sets ``truncated`` so
-    consumers can tell a complete stream from a clipped one.
+    consumers can tell a complete stream from a clipped one.  The cap
+    only applies while records are kept; a sink-only tracer is unbounded.
     """
 
     def __init__(self, clock: Callable[[], float], enabled: bool = True,
                  kinds: Optional[set[str]] = None,
-                 limit: Optional[int] = None):
+                 limit: Optional[int] = None,
+                 sink: Optional[Callable[[float, str, dict], None]] = None,
+                 keep: bool = True):
         self._clock = clock
         self.enabled = enabled
         self.kinds = kinds
         self.limit = limit
+        self.sink = sink
+        self.keep = keep
         self.truncated = False
         self.records: list[TraceRecord] = []
 
@@ -78,13 +89,18 @@ class Tracer:
             # Filtered out: return before constructing the TraceRecord
             # (and before touching the clock or the record list).
             return
-        records = self.records
-        limit = self.limit
-        if limit is not None and len(records) >= limit:
-            self.enabled = False   # guards go cold; no silent unbounded growth
-            self.truncated = True
-            return
-        records.append(TraceRecord(self._clock(), kind, fields))
+        time = self._clock()
+        if self.keep:
+            records = self.records
+            limit = self.limit
+            if limit is not None and len(records) >= limit:
+                self.enabled = False   # guards go cold; no unbounded growth
+                self.truncated = True
+                return
+            records.append(TraceRecord(time, kind, fields))
+        sink = self.sink
+        if sink is not None:
+            sink(time, kind, fields)
 
     def clear(self) -> None:
         self.records.clear()

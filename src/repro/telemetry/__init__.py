@@ -12,10 +12,10 @@ Layout:
 - :mod:`repro.telemetry.profiler` — DES kernel profiler (per-component
   event counts / simulated time, events/s self-benchmark);
 - :mod:`repro.telemetry.spans` — span-begin/span-end records over the
-  Tracer stream plus reconstruction and packet/retransmit derivations;
-- :mod:`repro.telemetry.causal` — per-message lineage (fragment
-  timelines, cross-node follows-from edges) and scheduling windows
-  replayed from the flat record stream;
+  Tracer stream and their per-name summary;
+- :mod:`repro.telemetry.causal` — the :class:`TraceConsumer` fed live by
+  the tracer: per-message lineage (fragment timelines, cross-node
+  follows-from edges), scheduling windows, and every span view;
 - :mod:`repro.telemetry.attribution` — the stall-clock accountant:
   every message's latency partitioned exactly into named causes;
 - :mod:`repro.telemetry.explain` — the ``repro explain`` analyzer
@@ -30,12 +30,10 @@ Layout:
 """
 
 from repro.telemetry.attribution import (CAUSES, attribute_message,
-                                         summarize_attribution,
-                                         summarize_stalls)
+                                         summarize_attribution)
 from repro.telemetry.causal import (CAUSAL_KINDS, FragmentTrace,
                                     MessageTrace, SchedulingWindows,
-                                    build_lineage, build_windows,
-                                    derive_causal_spans)
+                                    TraceConsumer)
 from repro.telemetry.export import (render_summary, to_chrome_trace,
                                     write_chrome_trace)
 from repro.telemetry.profiler import KernelProfiler, merge_profiles
@@ -48,19 +46,15 @@ from repro.telemetry.session import (DEFAULT_TRACE_LIMIT, SNAPSHOT_SCHEMA,
                                      Telemetry, harvest_cluster,
                                      harvest_network,
                                      merge_unified_snapshots)
-from repro.telemetry.spans import (Span, SpanEmitter, build_spans,
-                                   derive_packet_spans,
-                                   derive_retransmit_spans, summarize_spans)
+from repro.telemetry.spans import Span, SpanEmitter, summarize_spans
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "log2_bucket",
     "merge_snapshots", "KernelProfiler", "merge_profiles",
-    "Span", "SpanEmitter", "build_spans", "derive_packet_spans",
-    "derive_retransmit_spans", "summarize_spans",
+    "Span", "SpanEmitter", "summarize_spans",
     "CAUSAL_KINDS", "FragmentTrace", "MessageTrace", "SchedulingWindows",
-    "build_lineage", "build_windows", "derive_causal_spans",
+    "TraceConsumer",
     "CAUSES", "attribute_message", "summarize_attribution",
-    "summarize_stalls",
     "render_summary", "to_chrome_trace", "write_chrome_trace",
     "load_snapshot_schema", "validate", "validate_snapshot",
     "Telemetry", "DEFAULT_TRACE_LIMIT", "SNAPSHOT_SCHEMA",

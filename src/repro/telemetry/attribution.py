@@ -38,10 +38,10 @@ measurable per message.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
-from repro.sim.trace import TraceRecord
-from repro.telemetry.causal import MessageTrace, SchedulingWindows
+if TYPE_CHECKING:
+    from repro.telemetry.causal import MessageTrace, SchedulingWindows
 
 #: every cause, in waterfall (chain) order
 CAUSES = (
@@ -51,6 +51,9 @@ CAUSES = (
 )
 
 _STALL_CAUSE = {"credit": "credit-stall", "buffer-full": "buffer-full"}
+
+#: relative tolerance for the "causes must sum to latency" invariant
+SUM_TOLERANCE = 1e-6
 
 Interval = Tuple[float, float]
 
@@ -226,19 +229,3 @@ def _stats(values: List[float]) -> dict:
         "max": ordered[-1],
     }
 
-
-def summarize_stalls(records: Iterable[TraceRecord]) -> dict:
-    """Per-cause stall counters from raw ``stall`` records.
-
-    ``{cause: {"waits": n, "seconds": s}}`` — the registry harvest and
-    the snapshot schema's ``stall.*`` metrics come from exactly this.
-    """
-    stalls: Dict[str, list] = {}
-    for rec in records:
-        if rec.kind != "stall":
-            continue
-        cell = stalls.setdefault(rec.fields["cause"], [0, 0.0])
-        cell[0] += 1
-        cell[1] += rec.fields["dur"]
-    return {cause: {"waits": cell[0], "seconds": cell[1]}
-            for cause, cell in sorted(stalls.items())}

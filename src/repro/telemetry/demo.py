@@ -46,7 +46,9 @@ def run_telemetry_demo(nodes: int = 4, time_slots: int = 2,
     """Run the traced scenario and self-check the telemetry contract."""
     cluster = ParParCluster(ClusterConfig(
         num_nodes=nodes, time_slots=time_slots, quantum=quantum,
-        buffer_switching=True, seed=seed, telemetry=True,
+        # trace=True keeps the raw records: they become the chrome
+        # trace's instant events.
+        buffer_switching=True, seed=seed, telemetry=True, trace=True,
     ))
     workload = alltoall_stream(until=float("inf"),
                                message_bytes=message_bytes)
@@ -61,9 +63,8 @@ def run_telemetry_demo(nodes: int = 4, time_slots: int = 2,
     cluster.masterd.pause_rotation()
 
     spans = cluster.telemetry.all_spans()
-    records = list(cluster.telemetry.tracer.records)
     snapshot = cluster.telemetry_snapshot(include_wall=True)
-    trace = to_chrome_trace(spans, records, metadata={
+    trace = to_chrome_trace(spans, cluster.tracer.records, metadata={
         "scenario": f"{nodes} nodes, {time_slots} slots, "
                     f"{num_switches} gang switches",
         "seed": seed,

@@ -1,10 +1,11 @@
 """``repro explain`` — the critical-path latency analyzer.
 
 Runs a figure-6-style contention point (two nodes, N gang-scheduled
-bandwidth jobs) with causal tracing on, replays the record stream into
-per-message lineage (:mod:`repro.telemetry.causal`), charges every
-microsecond of every message's latency to a named cause
-(:mod:`repro.telemetry.attribution`), and reports the result three ways:
+bandwidth jobs) with causal tracing on, feeds the records live into
+per-message lineage (:mod:`repro.telemetry.causal`) without storing
+them, charges every microsecond of every message's latency to a named
+cause (:mod:`repro.telemetry.attribution`), and reports the result
+three ways:
 
 - a text *waterfall* — per-cause totals, shares, and nearest-rank
   percentiles, plus an ASCII breakdown of the slowest message;
@@ -18,11 +19,13 @@ microsecond of every message's latency to a named cause
 Determinism discipline: message ids and wire sequence numbers are
 process-global counters in the simulator (cheap and collision-free),
 so their raw values depend on how many simulations the worker process
-ran before this one.  :func:`normalize_records` rewrites both to dense
-per-stream indices — ordered by lineage order and first appearance
-respectively — before anything is analyzed or written, which is what
-makes a ``-j2`` sweep byte-identical to a serial one and a saved trace
-(schema ``repro-trace/1``) stable enough to diff.
+ran before this one.  Nothing analysed ever shows them: messages are
+reported by their index in lineage order, and ids are only compared for
+identity.  That is what makes a ``-j2`` sweep byte-identical to a serial
+one.  Raw records are kept only for ``--save-trace``;
+:func:`normalize_records` rewrites both ids to dense per-stream indices
+(lineage order and first appearance) so a saved trace (schema
+``repro-trace/1``) is stable enough to diff.
 """
 
 from __future__ import annotations
@@ -37,37 +40,38 @@ from repro.gluefm.switch import ValidOnlyCopy
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
 from repro.sim.trace import TraceRecord
-from repro.telemetry.attribution import (CAUSES, attribute_message,
-                                         summarize_attribution,
-                                         summarize_stalls)
-from repro.telemetry.causal import build_lineage, build_windows
+from repro.telemetry.attribution import CAUSES
+from repro.telemetry.causal import TraceConsumer
 from repro.telemetry.spans import Span
 from repro.workloads.bandwidth import bandwidth_benchmark
 
 EXPLAIN_SCHEMA = "repro-explain/1"
 TRACE_SCHEMA = "repro-trace/1"
 
-#: relative tolerance for the "causes must sum to latency" invariant
-_SUM_TOLERANCE = 1e-6
-
 
 # ---------------------------------------------------------------- running
 def _run_point(jobs: int, message_bytes: int, messages: int, quantum: float,
-               num_processors: int, policy: str, seed: int):
-    """One traced contention point; returns (records, truncated, end_time)."""
+               num_processors: int, policy: str, seed: int,
+               keep_records: bool):
+    """One traced contention point.
+
+    Returns (lineage, truncated, records, end_time); ``records`` is
+    empty unless ``keep_records`` asked the tracer to keep them.
+    """
     fm = FMConfig(max_contexts=max(jobs, 1), num_processors=num_processors,
                   buffer_policy=policy or "")
     cluster = ParParCluster(ClusterConfig(
         num_nodes=2, time_slots=max(jobs, 1), quantum=quantum,
         buffer_switching=True, switch_algorithm=ValidOnlyCopy(), fm=fm,
-        seed=seed, telemetry=True,
+        seed=seed, telemetry=True, trace=keep_records,
     ))
     workload = bandwidth_benchmark(messages, message_bytes)
     submitted = [cluster.submit(JobSpec(f"bw{i}", 2, workload))
                  for i in range(jobs)]
     cluster.run_until_finished(submitted, max_events=500_000_000)
-    tracer = cluster.telemetry.tracer
-    return list(tracer.records), tracer.truncated, cluster.sim.now
+    telemetry = cluster.telemetry
+    return (telemetry.lineage, telemetry.tracer.truncated,
+            telemetry.tracer.records, cluster.sim.now)
 
 
 # ---------------------------------------------------------------- normalize
@@ -79,8 +83,8 @@ def normalize_records(records: Iterable[TraceRecord]) -> List[TraceRecord]:
     """Rewrite process-global ids to dense, stream-local indices.
 
     Message ids become the message's index in lineage order (the order
-    :func:`~repro.telemetry.causal.build_lineage` returns, which is
-    start-time order); wire seqs become first-appearance indices.
+    :meth:`~repro.telemetry.causal.TraceConsumer.lineage` returns, which
+    is start-time order); wire seqs become first-appearance indices.
     Control-packet sentinels (``msg < 0``) pass through untouched.  The
     rewritten stream replays to the *same* lineage — ids are only ever
     compared for identity — but no longer leaks how many simulations
@@ -88,7 +92,7 @@ def normalize_records(records: Iterable[TraceRecord]) -> List[TraceRecord]:
     """
     records = list(records)
     msg_map: Dict[tuple, int] = {}
-    for index, trace in enumerate(build_lineage(records)):
+    for index, trace in enumerate(TraceConsumer.of(records).lineage()):
         msg_map[trace.key] = index
     seq_map: Dict[int, int] = {}
     out: List[TraceRecord] = []
@@ -121,78 +125,25 @@ def normalize_records(records: Iterable[TraceRecord]) -> List[TraceRecord]:
 # ---------------------------------------------------------------- analysis
 def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
                     end_time: Optional[float] = None) -> dict:
-    """Lineage -> windows -> per-message attribution -> summary.
+    """Feed a record list into a fresh consumer and return its
+    :meth:`~repro.telemetry.causal.TraceConsumer.analysis`."""
+    return TraceConsumer.of(records).analysis(truncated=truncated,
+                                              end_time=end_time)
 
-    The returned dict carries the aggregate statistics plus a
-    ``per_message`` list (index, endpoints, chain timestamps, latency,
-    causes) for exemplar selection and chrome rendering.  ``mismatches``
-    counts messages whose cause partition failed to sum to the measured
-    latency within float tolerance — always 0 unless the attribution
-    logic regresses.
-    """
-    traces = build_lineage(records)
-    windows = build_windows(records, end_time=end_time)
-    per_message: List[dict] = []
-    incomplete = 0
-    mismatches = 0
-    for index, trace in enumerate(traces):
-        att = attribute_message(trace, windows)
-        if att is None:
-            incomplete += 1
-            continue
-        total = sum(att["causes"].values())
-        if abs(total - att["latency"]) > _SUM_TOLERANCE * max(
-                1.0, att["latency"]):
-            mismatches += 1
-        frag = trace.completing_fragment()
-        per_message.append({
-            "index": index,
-            "job": trace.job,
-            "src": trace.src_node,
-            "dst": trace.dst_node,
-            "nbytes": trace.nbytes,
-            "frags": trace.frag_count,
-            "retransmits": trace.retransmits,
-            "latency": att["latency"],
-            "causes": att["causes"],
-            "chain": {
-                "started": trace.started,
-                "enqueued": frag.enqueued,
-                "first_tx": frag.first_tx,
-                "delivered": frag.delivered,
-                "completed": trace.completed,
-            },
-        })
-    summary = summarize_attribution(per_message)
+
+def _point_result(lineage: TraceConsumer, truncated: bool,
+                  end_time: Optional[float], **config) -> dict:
+    """One explain result (point summary, per-message rows, context
+    rows for chrome) from a consumer that has seen the whole stream."""
+    analysis = lineage.analysis(truncated=truncated, end_time=end_time)
+    point = {k: v for k, v in analysis.items() if k != "per_message"}
+    point.update(config, end_time=end_time)
     return {
-        "messages": len(traces),
-        "complete": len(per_message),
-        "incomplete": incomplete,
-        "mismatches": mismatches,
-        "truncated": truncated,
-        "latency": summary["latency"],
-        "causes": summary["causes"],
-        "stalls": summarize_stalls(records),
-        "per_message": per_message,
+        "point": point,
+        "per_message": analysis["per_message"],
+        "windows": _serialize_windows(lineage.windows(end_time)),
+        "reallocs": lineage.reallocs(),
     }
-
-
-def _derive_reallocs(records: Iterable[TraceRecord]) -> List[dict]:
-    """Policy reallocation intervals (plan -> last apply) for chrome."""
-    plan_open: Dict[int, TraceRecord] = {}
-    plan_last: Dict[int, float] = {}
-    for rec in records:
-        seq = rec.fields.get("sequence")
-        if rec.kind == "realloc-plan":
-            plan_open.setdefault(seq, rec)
-            plan_last[seq] = rec.time
-        elif rec.kind == "realloc-apply" and seq in plan_open:
-            plan_last[seq] = rec.time
-    return [{"node": plan_open[s].fields.get("node"), "sequence": s,
-             "jobs": plan_open[s].fields.get("jobs"),
-             "start": plan_open[s].time, "end": plan_last[s]}
-            for s in sorted(plan_open,
-                            key=lambda s: (plan_open[s].time, str(s)))]
 
 
 def _serialize_windows(windows) -> dict:
@@ -209,27 +160,20 @@ def _serialize_windows(windows) -> dict:
 
 
 def _explain_worker(args: tuple) -> dict:
-    """Picklable sweep worker: run, normalize, analyze one point."""
+    """Picklable sweep worker: run and analyze one point."""
     (jobs, message_bytes, messages, quantum, num_processors, policy, seed,
      keep_records) = args
-    raw, truncated, end_time = _run_point(
-        jobs, message_bytes, messages, quantum, num_processors, policy, seed)
-    records = normalize_records(raw)
-    analysis = analyze_records(records, truncated=truncated,
-                               end_time=end_time)
-    point = {k: v for k, v in analysis.items() if k != "per_message"}
-    point.update(jobs=jobs, message_bytes=message_bytes,
-                 messages_per_job=messages, quantum=quantum,
-                 policy=policy or None, seed=seed, end_time=end_time)
-    return {
-        "point": point,
-        "per_message": analysis["per_message"],
-        "windows": _serialize_windows(build_windows(records,
-                                                    end_time=end_time)),
-        "reallocs": _derive_reallocs(records),
-        "records": ([[r.time, r.kind, r.fields] for r in records]
-                    if keep_records else None),
-    }
+    lineage, truncated, records, end_time = _run_point(
+        jobs, message_bytes, messages, quantum, num_processors, policy, seed,
+        keep_records)
+    result = _point_result(
+        lineage, truncated, end_time, jobs=jobs, message_bytes=message_bytes,
+        messages_per_job=messages, quantum=quantum, policy=policy or None,
+        seed=seed)
+    result["records"] = ([[r.time, r.kind, r.fields]
+                          for r in normalize_records(records)]
+                         if keep_records else None)
+    return result
 
 
 def run_explain(jobs: Sequence[int] = (1, 2, 4),
@@ -284,21 +228,11 @@ def load_trace(doc: dict) -> List[dict]:
     for point in doc["points"]:
         records = [TraceRecord(t, kind, fields)
                    for t, kind, fields in point["records"]]
-        end_time = point.get("end_time")
-        analysis = analyze_records(records,
-                                   truncated=point.get("truncated", False),
-                                   end_time=end_time)
-        cfg = point["config"]
-        payload = {k: v for k, v in analysis.items() if k != "per_message"}
-        payload.update(cfg, end_time=end_time)
-        results.append({
-            "point": payload,
-            "per_message": analysis["per_message"],
-            "windows": _serialize_windows(
-                build_windows(records, end_time=end_time)),
-            "reallocs": _derive_reallocs(records),
-            "records": point["records"],
-        })
+        result = _point_result(TraceConsumer.of(records),
+                               point.get("truncated", False),
+                               point.get("end_time"), **point["config"])
+        result["records"] = point["records"]
+        results.append(result)
     return results
 
 

@@ -3,9 +3,12 @@
 A :class:`Telemetry` is what a simulation carries when observability is
 on: a :class:`~repro.telemetry.registry.MetricsRegistry` (the metric
 sink), a :class:`~repro.telemetry.profiler.KernelProfiler` (attached to
-the Simulator), a :class:`~repro.sim.trace.Tracer` (bounded by default so
-long runs cannot exhaust memory silently), and a
-:class:`~repro.telemetry.spans.SpanEmitter` over that tracer.
+the Simulator), a :class:`~repro.sim.trace.Tracer` whose records feed a
+:class:`~repro.telemetry.causal.TraceConsumer` live, and a
+:class:`~repro.telemetry.spans.SpanEmitter` over that tracer.  Spans,
+stall totals and lineage are all read from the consumer, so records are
+kept only when a caller wants them as output (``keep_records``); only
+then does the record cap apply.
 
 Component counters are *harvested* at snapshot time rather than double-
 written on hot paths: the firmwares, fabric, switch recorder, fault
@@ -26,16 +29,16 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.sim.trace import Tracer
+from repro.telemetry.causal import TraceConsumer
 from repro.telemetry.profiler import KernelProfiler, merge_profiles
 from repro.telemetry.registry import MetricsRegistry, merge_snapshots
-from repro.telemetry.spans import (SpanEmitter, build_spans,
-                                   derive_packet_spans,
-                                   derive_retransmit_spans, summarize_spans)
+from repro.telemetry.spans import SpanEmitter, summarize_spans
 
 SNAPSHOT_SCHEMA = "repro-telemetry/1"
 
-#: Default record cap — roomy for experiment runs, finite for streaming
-#: workloads (the tracer self-disables and flags ``truncated`` at the cap).
+#: Default cap on *kept* records — roomy for experiment runs, finite for
+#: streaming workloads (the tracer self-disables and flags ``truncated``
+#: at the cap).  The live consumer itself is never capped.
 DEFAULT_TRACE_LIMIT = 2_000_000
 
 
@@ -44,12 +47,15 @@ class Telemetry:
 
     def __init__(self, clock: Callable[[], float], enabled: bool = True,
                  trace_kinds: Optional[set] = None,
-                 trace_limit: Optional[int] = DEFAULT_TRACE_LIMIT):
+                 trace_limit: Optional[int] = DEFAULT_TRACE_LIMIT,
+                 keep_records: bool = False):
         self.enabled = enabled
         self.registry = MetricsRegistry()
         self.profiler = KernelProfiler(enabled=enabled)
+        self.lineage = TraceConsumer()
         self.tracer = Tracer(clock=clock, enabled=enabled, kinds=trace_kinds,
-                             limit=trace_limit)
+                             limit=trace_limit, sink=self.lineage.feed,
+                             keep=keep_records)
         self.spans = SpanEmitter(self.tracer)
 
     def __bool__(self) -> bool:
@@ -58,20 +64,7 @@ class Telemetry:
     # ------------------------------------------------------------------ spans
     def all_spans(self):
         """Explicit spans plus packet/retransmit/causal derivations."""
-        from repro.telemetry.causal import derive_causal_spans
-        records = self.tracer.records
-        truncated = self.tracer.truncated
-        spans = build_spans(records, truncated=truncated)
-        base = (max((s.span_id for s in spans), default=-1) + 1)
-        spans += derive_packet_spans(records, next_id=max(base, 1_000_000),
-                                     truncated=truncated)
-        spans += derive_retransmit_spans(records,
-                                         next_id=max(base, 1_000_000)
-                                         + 1_000_000, truncated=truncated)
-        spans += derive_causal_spans(records,
-                                     next_id=max(base, 1_000_000)
-                                     + 2_000_000, truncated=truncated)
-        return spans
+        return self.lineage.spans(truncated=self.tracer.truncated)
 
     # ------------------------------------------------------------------ snapshot
     def snapshot(self, include_wall: bool = False) -> dict:
@@ -209,12 +202,11 @@ def harvest_policy(registry: MetricsRegistry, engine) -> None:
     registry.counter("policy.reports").inc(1)
 
 
-def harvest_stalls(registry: MetricsRegistry, records) -> None:
-    """Fold per-cause stall totals (from raw ``stall`` records) into
-    ``stall.<cause>.waits`` counters and ``stall.<cause>.seconds`` gauges
-    (gauges sum across merged points, matching the counters)."""
-    from repro.telemetry.attribution import summarize_stalls
-    for cause, cell in summarize_stalls(records).items():
+def harvest_stalls(registry: MetricsRegistry, lineage: TraceConsumer) -> None:
+    """Fold per-cause stall totals into ``stall.<cause>.waits`` counters
+    and ``stall.<cause>.seconds`` gauges (gauges sum across merged
+    points, matching the counters)."""
+    for cause, cell in lineage.stall_totals().items():
         registry.counter(f"stall.{cause}.waits").inc(cell["waits"])
         registry.gauge(f"stall.{cause}.seconds").add(cell["seconds"])
 
@@ -223,7 +215,7 @@ def harvest_cluster(telemetry: Telemetry, cluster) -> None:
     """Fold one ParParCluster's deterministic counters into the registry."""
     registry = telemetry.registry
     harvest_firmwares(registry, (g.firmware for g in cluster.glue))
-    harvest_stalls(registry, telemetry.tracer.records)
+    harvest_stalls(registry, telemetry.lineage)
     harvest_fabric(registry, cluster.fabric)
     harvest_switches(registry, cluster.recorder)
     if getattr(cluster, "policy_engine", None) is not None:
@@ -241,6 +233,6 @@ def harvest_network(telemetry: Telemetry, net) -> None:
     registry = telemetry.registry
     harvest_firmwares(registry, net.firmwares.values())
     harvest_fabric(registry, net.fabric)
-    harvest_stalls(registry, telemetry.tracer.records)
+    harvest_stalls(registry, telemetry.lineage)
     registry.counter("sim.events").inc(net.sim.processed_events)
     registry.gauge("sim.seconds").add(net.sim.now)

@@ -1,6 +1,9 @@
 """Engine-level tests: pragmas, reporters, baseline diffing, CLI."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.analysis.simlint import (
     all_rules,
@@ -274,6 +277,40 @@ def test_cli_lint_exits_nonzero_on_planted_wall_clock(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "SIM001" in out
+
+
+def test_cli_lint_cache_file_lints_every_path(tmp_path, capsys):
+    """``--cache-file PATH`` takes exactly one value: both paths after it
+    are linted, and nothing is written beside them."""
+    for name in ("src", "benchmarks"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / f"{name}_mod.py").write_text(BAD)
+    cache = tmp_path / "cache.json"
+    rc = main(["lint", "--cache-file", str(cache), str(tmp_path / "src"),
+               str(tmp_path / "benchmarks"), "--no-baseline",
+               "--format", "json"])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    linted = {Path(f["path"]).name for f in doc["findings"]}
+    assert linted == {"src_mod.py", "benchmarks_mod.py"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["benchmarks", "cache.json", "src"]
+    for name in ("src", "benchmarks"):
+        assert [p.name for p in (tmp_path / name).iterdir()] == \
+            [f"{name}_mod.py"]
+
+
+def test_cli_lint_cache_file_rejects_a_directory(tmp_path, capsys):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(BAD)
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "--cache-file", str(tmp_path / "src"),
+              str(tmp_path / "src"), "--no-baseline"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "is a directory" in captured.err
+    assert "SIM001" not in captured.out          # nothing was linted
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
 
 
 def test_cli_lint_clean_tree_exits_zero(capsys):

@@ -97,6 +97,32 @@ class TestGangScheduling:
             assert rec.switch_seconds > rec.halt_seconds
             assert rec.switch_seconds > rec.release_seconds
 
+    def test_real_cluster_has_no_gang_violations(self):
+        """The gang invariant: no two nodes ever run different slots at
+        the same instant.  Every node of a round switches between the same
+        two slots, and no node leaves its switch window (running the new
+        slot) before every other node has entered it (stopped running the
+        old one); rounds do not overlap."""
+        cluster = small_cluster()
+        jobs = [cluster.submit(JobSpec(f"a2a{i}", 4,
+                                       alltoall_benchmark(120, 1200)))
+                for i in range(2)]
+        cluster.run_until_finished(jobs)
+        rounds = {}
+        for rec in cluster.recorder.records:
+            rounds.setdefault(rec.sequence, []).append(rec)
+        assert len(rounds) >= 2
+        previous_end = 0.0
+        for sequence in sorted(rounds):
+            recs = rounds[sequence]
+            assert sorted(r.node_id for r in recs) == [0, 1, 2, 3]
+            assert len({(r.old_slot, r.new_slot) for r in recs}) == 1
+            entered = max(r.started_at for r in recs)
+            left = min(r.started_at + r.total_seconds for r in recs)
+            assert entered <= left
+            assert min(r.started_at for r in recs) >= previous_end
+            previous_end = max(r.started_at + r.total_seconds for r in recs)
+
     def test_no_quantum_switch_for_single_slot(self):
         cluster = small_cluster()
         job = cluster.submit(JobSpec("solo", 2, bandwidth_benchmark(300, 1400)))

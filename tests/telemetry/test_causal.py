@@ -1,10 +1,11 @@
 """Causal lineage and stall-clock attribution.
 
-Two layers of evidence: synthetic record streams that pin the replay
-semantics exactly (fragment chains, scheduling windows, the cause
-partition), and real cluster runs — clean, chaotic, and fail-stop —
-that prove the invariants hold end-to-end: every attribution sums to
-the measured latency, and faults never orphan or double-count a span.
+Two layers of evidence: synthetic record streams fed into a
+:class:`TraceConsumer` that pin its semantics exactly (fragment chains,
+scheduling windows, the cause partition), and real cluster runs —
+clean, chaotic, and fail-stop — that prove the invariants hold
+end-to-end on the live consumer: every attribution sums to the measured
+latency, and faults never orphan or double-count a span.
 """
 
 import pytest
@@ -16,10 +17,8 @@ from repro.gluefm.switch import ValidOnlyCopy
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
 from repro.sim.trace import TraceRecord
-from repro.telemetry.attribution import (CAUSES, attribute_message,
-                                         summarize_stalls)
-from repro.telemetry.causal import (build_lineage, build_windows,
-                                    derive_causal_spans)
+from repro.telemetry.attribution import CAUSES, attribute_message
+from repro.telemetry.causal import TraceConsumer
 from repro.workloads.alltoall import alltoall_benchmark
 from repro.workloads.bandwidth import bandwidth_benchmark
 
@@ -28,6 +27,14 @@ MS = 1e-3
 
 def rec(time, kind, **fields):
     return TraceRecord(time, kind, fields)
+
+
+def lineage_of(records):
+    return TraceConsumer.of(records).lineage()
+
+
+def windows_of(records, end_time=None):
+    return TraceConsumer.of(records).windows(end_time)
 
 
 def one_message(msg=5, seq=42, start=1 * MS, enq=2 * MS, tx=3 * MS,
@@ -45,7 +52,7 @@ def one_message(msg=5, seq=42, start=1 * MS, enq=2 * MS, tx=3 * MS,
 
 class TestLineage:
     def test_complete_single_fragment_chain(self):
-        [trace] = build_lineage(one_message())
+        [trace] = lineage_of(one_message())
         assert trace.complete
         assert trace.key == (0, 1, 5)
         assert trace.latency == pytest.approx(4 * MS)
@@ -69,7 +76,7 @@ class TestLineage:
                     msg=9, seq=seq),
             ]
         records.append(rec(5 * MS, "msg-recv", node=1, job=1, msg=9, src=0))
-        [trace] = build_lineage(records)
+        [trace] = lineage_of(records)
         assert trace.complete
         assert trace.completing_fragment().frag == 1
 
@@ -83,7 +90,7 @@ class TestLineage:
                            frag=0, seq=42, dst=1))
         records.insert(3, rec(3.2 * MS, "rto-retransmit", node=0, seq=42,
                               attempt=1))
-        [trace] = build_lineage(records)
+        [trace] = lineage_of(records)
         frag = trace.completing_fragment()
         assert frag.retransmits == 1
         assert len(frag.tx_times) == 3
@@ -93,7 +100,7 @@ class TestLineage:
         records = one_message()
         records.append(rec(6 * MS, "pkt-deliver", node=1, src=0, job=1,
                            msg=5, seq=42))
-        [trace] = build_lineage(records)
+        [trace] = lineage_of(records)
         frag = trace.completing_fragment()
         assert frag.delivered == pytest.approx(4 * MS)   # first wins
         assert frag.extra_deliveries == 1
@@ -103,12 +110,12 @@ class TestLineage:
         records = one_message()
         records.insert(2, rec(2.5 * MS, "pkt-tx", node=1, job=1, msg=-1,
                               dst=0, seq=77))
-        [trace] = build_lineage(records)
+        [trace] = lineage_of(records)
         assert len(trace.frags) == 1
 
     def test_incomplete_message_reported_not_guessed(self):
         records = one_message()[:-2]    # no delivery, no msg-recv
-        [trace] = build_lineage(records)
+        [trace] = lineage_of(records)
         assert not trace.complete
         assert trace.latency is None
 
@@ -117,13 +124,13 @@ class TestWindows:
     def test_halt_release_pairs(self):
         records = [rec(1 * MS, "nic-halt", node=0),
                    rec(3 * MS, "nic-release", node=0)]
-        windows = build_windows(records)
+        windows = windows_of(records)
         assert windows.halted[0] == [(1 * MS, 3 * MS)]
 
     def test_open_windows_clip_to_end(self):
         records = [rec(1 * MS, "nic-halt", node=0),
                    rec(2 * MS, "job-stop", node=0, job=4)]
-        windows = build_windows(records, end_time=5 * MS)
+        windows = windows_of(records, end_time=5 * MS)
         assert windows.halted[0] == [(1 * MS, 5 * MS)]
         assert windows.stopped[(0, 4)] == [(2 * MS, 5 * MS)]
 
@@ -134,21 +141,21 @@ class TestWindows:
             rec(4 * MS, "ctx-remove", node=1, job=1),
             rec(9 * MS, "ctx-install", node=1, job=1),
         ]
-        windows = build_windows(records)
+        windows = windows_of(records)
         assert windows.swapping[1] == [(3 * MS, 4 * MS)]
         assert windows.stored[(1, 1)] == [(4 * MS, 9 * MS)]
 
     def test_init_job_stored_opens_window(self):
         records = [rec(0.0, "init-job", node=0, job=2, installed=False),
                    rec(6 * MS, "ctx-install", node=0, job=2)]
-        windows = build_windows(records)
+        windows = windows_of(records)
         assert windows.stored[(0, 2)] == [(0.0, 6 * MS)]
 
 
 class TestAttribution:
     def attribute(self, records):
-        traces = build_lineage(records)
-        windows = build_windows(records)
+        traces = lineage_of(records)
+        windows = windows_of(records)
         return attribute_message(traces[0], windows)
 
     def assert_exact(self, att):
@@ -225,12 +232,41 @@ class TestAttribution:
         assert att["causes"]["wire"] == pytest.approx(0.5 * MS)
 
     def test_incomplete_returns_none(self):
-        traces = build_lineage(one_message()[:-1])
-        assert attribute_message(traces[0], build_windows([])) is None
+        traces = lineage_of(one_message()[:-1])
+        assert attribute_message(traces[0], windows_of([])) is None
 
     def test_every_cause_key_present(self):
         att = self.attribute(one_message())
         assert set(att["causes"]) == set(CAUSES)
+
+
+class TestLateRecords:
+    """Records arriving after a message's msg-recv still count: every
+    message is attributed against the final windows."""
+
+    def test_window_open_at_completion_is_charged(self):
+        records = one_message()
+        records.insert(4, rec(4.5 * MS, "job-stop", node=1, job=1))
+        [row] = TraceConsumer.of(records).analysis()["per_message"]
+        assert row["causes"]["descheduled"] == pytest.approx(0.5 * MS)
+
+    def test_later_stall_for_the_message_is_charged(self):
+        records = one_message() + [rec(6 * MS, "stall", node=0, job=1,
+                                       msg=5, cause="credit", dur=5 * MS)]
+        [row] = TraceConsumer.of(records).analysis()["per_message"]
+        assert row["causes"]["credit-stall"] == pytest.approx(1 * MS)
+
+    def test_swap_reaching_back_past_first_tx_is_charged(self):
+        records = one_message() + [rec(7 * MS, "buffer-switch", node=0,
+                                       duration=5 * MS)]
+        [row] = TraceConsumer.of(records).analysis()["per_message"]
+        assert row["causes"]["buffer-swap"] == pytest.approx(1 * MS)
+
+    def test_out_of_order_window_is_charged(self):
+        records = one_message() + [rec(2.2 * MS, "nic-halt", node=0),
+                                   rec(2.6 * MS, "nic-release", node=0)]
+        [row] = TraceConsumer.of(records).analysis()["per_message"]
+        assert row["causes"]["gang-barrier"] == pytest.approx(0.4 * MS)
 
 
 class TestStallSummary:
@@ -243,7 +279,7 @@ class TestStallSummary:
             rec(3 * MS, "stall", node=1, job=2, msg=-1, cause="refill-queue",
                 dur=1 * MS),
         ]
-        summary = summarize_stalls(records)
+        summary = TraceConsumer.of(records).stall_totals()
         assert summary["credit"] == {"waits": 2,
                                      "seconds": pytest.approx(0.75 * MS)}
         assert summary["refill-queue"]["waits"] == 1
@@ -257,7 +293,8 @@ def run_cluster(jobs=2, messages=30, quantum=0.004, seed=3, faults=None,
     cluster = ParParCluster(ClusterConfig(
         num_nodes=nodes, time_slots=max(jobs, 1), quantum=quantum,
         buffer_switching=True, switch_algorithm=ValidOnlyCopy(), fm=fm,
-        seed=seed, telemetry=True, faults=faults, retransmit=retransmit,
+        seed=seed, telemetry=True, trace=True, faults=faults,
+        retransmit=retransmit,
     ))
     workload = workload or bandwidth_benchmark(messages, 1536)
     submitted = [cluster.submit(JobSpec(f"j{i}", width, workload,
@@ -267,11 +304,17 @@ def run_cluster(jobs=2, messages=30, quantum=0.004, seed=3, faults=None,
     return cluster
 
 
-def assert_lineage_invariants(records, require_complete=True):
-    """The no-orphan / no-double-count contract over a real stream."""
-    traces = build_lineage(records)
-    windows = build_windows(records)
+def assert_lineage_invariants(cluster, require_complete=True):
+    """The no-orphan / no-double-count contract over a real stream, read
+    from the live consumer; the kept records cross-check it."""
+    lineage = cluster.telemetry.lineage
+    records = list(cluster.tracer.records)
+    traces = lineage.lineage()
+    windows = lineage.windows()
     assert traces, "run produced no messages"
+    replayed = TraceConsumer.of(records)
+    assert replayed.lineage() == traces
+    assert replayed.analysis() == lineage.analysis()
     recv_counts = {}
     for r in records:
         if r.kind == "msg-recv" and r.fields.get("msg") is not None:
@@ -292,7 +335,7 @@ def assert_lineage_invariants(records, require_complete=True):
     if require_complete:
         assert complete == len(traces), "orphaned messages in a clean run"
     # span view: one message span per completed message, no duplicates
-    spans = derive_causal_spans(records)
+    spans = lineage.causal_spans()
     message_spans = [s for s in spans if s.name == "message"]
     assert len(message_spans) == complete
     return traces, complete
@@ -301,10 +344,9 @@ def assert_lineage_invariants(records, require_complete=True):
 class TestClusterLineage:
     def test_clean_contended_run_attributes_everything(self):
         cluster = run_cluster(jobs=3, messages=25, quantum=0.002)
-        records = list(cluster.telemetry.tracer.records)
-        traces, complete = assert_lineage_invariants(records)
+        traces, complete = assert_lineage_invariants(cluster)
         assert complete == len(traces)
-        windows = build_windows(records)
+        windows = cluster.telemetry.lineage.windows()
         # gang scheduling visibly parked jobs: stopped windows exist
         assert windows.stopped
         assert windows.halted
@@ -317,8 +359,7 @@ class TestClusterLineage:
             jobs=2, quantum=0.004, seed=11, faults=faults,
             retransmit=RetransmitPolicy(), nodes=4, width=4,
             workload=alltoall_benchmark(rounds=5, message_bytes=1024))
-        records = list(cluster.telemetry.tracer.records)
-        traces, complete = assert_lineage_invariants(records)
+        traces, complete = assert_lineage_invariants(cluster)
         retransmits = sum(t.retransmits for t in traces)
         assert retransmits > 0, "drops never exercised the retransmit path"
         dup_evidence = sum(
@@ -334,7 +375,6 @@ class TestClusterLineage:
             jobs=2, quantum=0.004, seed=7, faults=faults,
             retransmit=RetransmitPolicy(), nodes=4, width=2,
             workload=alltoall_benchmark(rounds=40, message_bytes=1024))
-        records = list(cluster.telemetry.tracer.records)
         traces, complete = assert_lineage_invariants(
-            records, require_complete=False)
+            cluster, require_complete=False)
         assert complete > 0, "no message survived the fail-stop run"

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.sim.trace import TraceRecord
+from repro.telemetry.causal import TraceConsumer
 from repro.telemetry.explain import (analyze_records, explain_chrome_trace,
                                      explain_payload, load_trace,
                                      normalize_records, render_explain,
@@ -140,6 +141,56 @@ class TestRunExplain:
         names = {e["args"]["name"] for e in events
                  if e["ph"] == "M" and e["name"] == "process_name"}
         assert any("node" in n for n in names)
+
+
+class TestLiveConsumer:
+    """Explain analyses the records live: no record is kept, so the
+    tracer's record cap no longer truncates a long point."""
+
+    def test_capped_tracer_no_longer_truncates(self, monkeypatch):
+        from repro.parpar.cluster import ParParCluster
+        from repro.telemetry.session import Telemetry
+
+        def run():
+            return run_explain(jobs=(2,), message_sizes=(1536,),
+                               messages=300, quantum=0.004, root_seed=0,
+                               workers=1)
+
+        uncapped = run()
+        init = Telemetry.__init__
+        names = init.__code__.co_varnames[:init.__code__.co_argcount]
+        defaults = dict(zip(names[-len(init.__defaults__):],
+                            init.__defaults__))
+        defaults["trace_limit"] = 1_000
+        monkeypatch.setattr(init, "__defaults__", tuple(defaults.values()))
+        clusters = []
+        original = ParParCluster.__init__
+
+        def capture(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            clusters.append(self)
+            assert self.telemetry.tracer.limit == 1_000
+
+        monkeypatch.setattr(ParParCluster, "__init__", capture)
+        feeds = []
+        original_feed = TraceConsumer.feed
+
+        def feed(self, time, kind, fields):
+            assert not clusters or clusters[-1].tracer.records == []
+            feeds.append(kind)
+            original_feed(self, time, kind, fields)
+
+        monkeypatch.setattr(TraceConsumer, "feed", feed)
+        capped = run()
+        [cluster] = clusters
+        assert len(feeds) > 1_000        # the stream really passed the cap
+        assert cluster.telemetry.tracer.records == []
+        assert not cluster.telemetry.tracer.truncated
+        point = capped[0]["point"]
+        assert point["truncated"] is False
+        assert point["incomplete"] == 0
+        dump = lambda r: json.dumps(explain_payload(r, top=5), sort_keys=True)
+        assert dump(capped) == dump(uncapped)
 
 
 class TestExplainCli:

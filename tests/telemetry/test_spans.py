@@ -1,9 +1,21 @@
-"""Span emission, reconstruction, and derived packet/retransmit spans."""
+"""Span emission, and the consumer's explicit, packet and retransmit
+span views."""
 
 from repro.sim.trace import NullTracer, TraceRecord, Tracer
-from repro.telemetry.spans import (SpanEmitter, build_spans,
-                                   derive_packet_spans,
-                                   derive_retransmit_spans, summarize_spans)
+from repro.telemetry.causal import TraceConsumer
+from repro.telemetry.spans import SpanEmitter, summarize_spans
+
+
+def explicit_spans(records, truncated=False):
+    return TraceConsumer.of(records).explicit_spans(truncated)
+
+
+def packet_spans(records, truncated=False):
+    return TraceConsumer.of(records).packet_spans(truncated=truncated)
+
+
+def retransmit_spans(records, truncated=False):
+    return TraceConsumer.of(records).retransmit_spans(truncated=truncated)
 
 
 class _Clock:
@@ -31,7 +43,7 @@ class TestSpanEmitter:
         sid = emitter.begin("work", category="test", node=3)
         clock.now = 2.5
         emitter.end(sid, outcome="done")
-        [span] = build_spans(tracer.records)
+        [span] = explicit_spans(tracer.records)
         assert span.name == "work"
         assert span.category == "test"
         assert span.start == 0.0 and span.end == 2.5
@@ -48,7 +60,7 @@ class TestSpanEmitter:
         clock.now = 1.0
         emitter.end(child)
         emitter.end(parent)
-        spans = {s.name: s for s in build_spans(tracer.records)}
+        spans = {s.name: s for s in explicit_spans(tracer.records)}
         assert spans["inner"].parent_id == spans["outer"].span_id
         assert spans["outer"].parent_id is None
 
@@ -61,12 +73,12 @@ class TestBuildSpans:
         emitter.begin("dangling")
         clock.now = 4.0
         tracer.record("marker")
-        [span] = build_spans(tracer.records)
+        [span] = explicit_spans(tracer.records)
         assert span.end == 4.0
 
     def test_orphan_end_ignored(self):
         records = [TraceRecord(1.0, "span-end", {"span": 99})]
-        assert build_spans(records) == []
+        assert explicit_spans(records) == []
 
     def test_sorted_by_start_then_id(self):
         clock = _Clock()
@@ -77,7 +89,7 @@ class TestBuildSpans:
         clock.now = 1.0
         emitter.end(b)
         emitter.end(a)
-        names = [s.name for s in build_spans(tracer.records)]
+        names = [s.name for s in explicit_spans(tracer.records)]
         assert names == ["a", "b"]
 
 
@@ -91,21 +103,21 @@ class TestDerivedSpans:
             _rec(0.0, "pkt-tx", node=0, dst=1, seq=7, job=1, ptype="DATA"),
             _rec(0.5, "pkt-deliver", node=1, src=0, seq=7, job=1),
         ]
-        [span] = derive_packet_spans(records)
+        [span] = packet_spans(records)
         assert span.name == "pkt-flight"
         assert span.start == 0.0 and span.end == 0.5
         assert span.args["src"] == 0 and span.args["dst"] == 1
 
     def test_undelivered_packet_yields_no_span(self):
         records = [_rec(0.0, "pkt-tx", node=0, dst=1, seq=7, job=1)]
-        assert derive_packet_spans(records) == []
+        assert packet_spans(records) == []
 
     def test_retransmit_epoch_recovered(self):
         records = [
             _rec(1.0, "rto-retransmit", node=0, seq=5, job=1, attempt=2),
             _rec(1.5, "pkt-deliver", node=1, src=0, seq=5, job=1),
         ]
-        [span] = derive_retransmit_spans(records)
+        [span] = retransmit_spans(records)
         assert span.name == "retransmit-epoch"
         assert span.args["recovered"] is True
         assert span.args["retries"] == 1
@@ -116,7 +128,7 @@ class TestDerivedSpans:
             _rec(1.0, "rto-retransmit", node=0, seq=5, job=1, attempt=2),
             _rec(3.0, "rto-give-up", node=0, seq=5, job=1, attempts=4),
         ]
-        [span] = derive_retransmit_spans(records)
+        [span] = retransmit_spans(records)
         assert span.args["recovered"] is False
 
     def test_strategy_tag_renames_epoch(self):
@@ -128,7 +140,7 @@ class TestDerivedSpans:
                  strategy="nack"),
             _rec(1.5, "pkt-deliver", node=1, src=0, seq=5, job=1),
         ]
-        [span] = derive_retransmit_spans(records)
+        [span] = retransmit_spans(records)
         assert span.name == "retransmit-epoch-nack"
         assert span.args["strategy"] == "nack"
         assert span.args["recovered"] is True
@@ -140,7 +152,7 @@ class TestDerivedSpans:
             _rec(1.0, "rto-retransmit", node=0, seq=5, job=1, attempt=2),
             _rec(1.5, "pkt-deliver", node=1, src=0, seq=5, job=1),
         ]
-        [span] = derive_retransmit_spans(records)
+        [span] = retransmit_spans(records)
         assert span.name == "retransmit-epoch"
         assert "strategy" not in span.args
 
@@ -152,7 +164,7 @@ class TestDerivedSpans:
             _rec(1.5, "pkt-deliver", node=1, src=0, seq=5, job=1),
             _rec(1.6, "pkt-deliver", node=3, src=2, seq=9, job=2),
         ]
-        names = sorted(s.name for s in derive_retransmit_spans(records))
+        names = sorted(s.name for s in retransmit_spans(records))
         assert names == ["retransmit-epoch", "retransmit-epoch-adaptive"]
 
 
@@ -165,7 +177,7 @@ class TestSummarize:
             sid = emitter.begin("stage")
             clock.now += 1.0
             emitter.end(sid)
-        summary = summarize_spans(build_spans(tracer.records))
+        summary = summarize_spans(explicit_spans(tracer.records))
         assert summary["count"] == 3
         assert summary["by_name"]["stage"]["count"] == 3
         assert abs(summary["by_name"]["stage"]["total_seconds"] - 3.0) < 1e-9
@@ -182,7 +194,7 @@ class TestTruncatedAudit:
         emitter.begin("stage", category="test")
         clock.now = 4.0
         tracer.record("tick", node=0)     # advances last-seen time
-        [span] = build_spans(tracer.records, truncated=True)
+        [span] = explicit_spans(tracer.records, truncated=True)
         assert span.end == 4.0
         assert span.args["truncated"] is True
 
@@ -191,7 +203,7 @@ class TestTruncatedAudit:
         tracer = Tracer(clock=clock)
         emitter = SpanEmitter(tracer)
         emitter.begin("stage", category="test")
-        [span] = build_spans(tracer.records, truncated=False)
+        [span] = explicit_spans(tracer.records, truncated=False)
         assert "truncated" not in span.args
 
     def test_unmatched_tx_becomes_open_flight_when_truncated(self):
@@ -200,7 +212,7 @@ class TestTruncatedAudit:
             _rec(2.0, "pkt-tx", node=0, dst=1, seq=8, job=1),
             _rec(3.0, "pkt-deliver", node=1, src=0, seq=8, job=1),
         ]
-        spans = derive_packet_spans(records, truncated=True)
+        spans = packet_spans(records, truncated=True)
         assert len(spans) == 2
         closed = [s for s in spans if "truncated" not in s.args]
         open_ = [s for s in spans if s.args.get("truncated")]
@@ -210,13 +222,13 @@ class TestTruncatedAudit:
 
     def test_unmatched_tx_dropped_when_not_truncated(self):
         records = [_rec(0.0, "pkt-tx", node=0, dst=1, seq=7, job=1)]
-        assert derive_packet_spans(records, truncated=False) == []
+        assert packet_spans(records, truncated=False) == []
 
     def test_unterminated_epoch_flagged_not_judged(self):
         records = [
             _rec(1.0, "rto-retransmit", node=0, seq=5, job=1, attempt=2),
         ]
-        [span] = derive_retransmit_spans(records, truncated=True)
+        [span] = retransmit_spans(records, truncated=True)
         assert span.args["truncated"] is True
         assert span.args["recovered"] is False    # unknown, flagged as such
 
@@ -225,6 +237,6 @@ class TestTruncatedAudit:
             _rec(1.0, "rto-retransmit", node=0, seq=5, job=1, attempt=2),
             _rec(1.5, "pkt-deliver", node=1, src=0, seq=5, job=1),
         ]
-        [span] = derive_retransmit_spans(records, truncated=True)
+        [span] = retransmit_spans(records, truncated=True)
         assert "truncated" not in span.args
         assert span.args["recovered"] is True

@@ -67,3 +67,38 @@ class TestLimit:
         tracer = _tracer(enabled=False)
         tracer.clear()
         assert not tracer
+
+
+class TestSink:
+    def test_sink_sees_every_kept_record_live(self):
+        seen = []
+        tracer = _tracer(sink=lambda *rec: seen.append(rec))
+        tracer.record("a", x=1)
+        assert seen == [(0.0, "a", {"x": 1})]
+        assert [r.kind for r in tracer] == ["a"]
+
+    def test_sink_only_tracer_keeps_nothing_and_is_uncapped(self):
+        seen = []
+        tracer = _tracer(sink=lambda *rec: seen.append(rec), keep=False,
+                         limit=2)
+        for i in range(5):
+            tracer.record("tick", i=i)
+        assert len(seen) == 5
+        assert tracer.records == []
+        assert tracer and not tracer.truncated
+
+    def test_cap_on_kept_records_also_stops_the_sink(self):
+        seen = []
+        tracer = _tracer(sink=lambda *rec: seen.append(rec), limit=2)
+        for i in range(5):
+            tracer.record("tick", i=i)
+        assert len(tracer) == 2 and len(seen) == 2
+        assert tracer.truncated
+
+    def test_filtered_kind_never_reaches_the_sink(self):
+        seen = []
+        tracer = _tracer(kinds={"keep"}, keep=False,
+                         sink=lambda *rec: seen.append(rec[1]))
+        tracer.record("drop")
+        tracer.record("keep")
+        assert seen == ["keep"]
