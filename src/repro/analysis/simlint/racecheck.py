@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.errors import SimulationError
@@ -433,26 +433,18 @@ class BufferOwnershipMonitor:
 
 # ---------------------------------------------------------------------- runner
 def preset_point(preset: str, seed: int = 0):
-    """The chaos / fail-stop smoke configurations racecheck runs under.
+    """The ``repro chaos --smoke`` preset racecheck runs under, reseeded.
 
-    Mirrors the ``repro chaos --smoke`` presets: ``chaos`` exercises the
-    full fault mix (drops, dups, corruption, jitter, SRAM flips, daemon
-    stalls/crashes); ``failstop`` exercises node death, eviction,
-    requeue and rejoin — the paths that page contexts in and out
-    hardest.
+    ``chaos`` exercises the full fault mix (drops, dups, corruption,
+    jitter, SRAM flips, daemon stalls/crashes); ``failstop`` exercises
+    node death, eviction, requeue and rejoin — the paths that page
+    contexts in and out hardest.
     """
-    from repro.faults.chaos import ChaosPoint
+    from repro.faults.chaos import CHAOS_PRESETS
 
-    if preset == "chaos":
-        return ChaosPoint(seed=seed, nodes=4, time_slots=2, jobs=2,
-                          quantum=0.004, rounds=10, message_bytes=1024,
-                          drop=0.02, dup=0.01, corrupt=0.005, jitter=0.05,
-                          sram=200.0, stall=0.05, crash=0.02)
-    if preset == "failstop":
-        return ChaosPoint(seed=seed, nodes=4, time_slots=2, jobs=2,
-                          quantum=0.004, rounds=600, message_bytes=1024,
-                          failstops=1, rejoin=True, requeue=True)
-    raise SimulationError(f"unknown racecheck preset {preset!r}")
+    if preset not in CHAOS_PRESETS:
+        raise SimulationError(f"unknown racecheck preset {preset!r}")
+    return replace(CHAOS_PRESETS[preset], seed=seed)
 
 
 @dataclass

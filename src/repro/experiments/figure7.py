@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.fm.config import FMConfig
 from repro.gluefm.switch import FullCopy, SwitchAlgorithm
 from repro.metrics.counters import StageTimings, SwitchRecorder
@@ -113,6 +113,9 @@ def run_switch_overheads(algorithm: SwitchAlgorithm,
                          workers: int = 1,
                          telemetry: bool = False) -> list[SwitchOverheadPoint]:
     """The node sweep for one algorithm (Fig. 7: FullCopy, Fig. 9: ValidOnly)."""
+    if num_switches < 1:
+        raise ConfigError(
+            f"num_switches must be at least 1, got {num_switches}")
     items = [(n, algorithm, quantum, num_switches, message_bytes,
               point_seed(root_seed, f"switch:{algorithm.name}:nodes={n}"),
               telemetry)

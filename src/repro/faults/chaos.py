@@ -106,6 +106,23 @@ class ChaosPoint:
         return tuple(entries)
 
 
+#: The two CI presets, shared by ``repro chaos --smoke`` (``"failstop"``
+#: when ``--failstop`` is given), ``repro racecheck --preset`` and the
+#: chaos golden fixtures.  ``chaos`` lights every fault model on a small
+#: cluster in well under a minute; ``failstop`` kills one node with
+#: rejoin and requeue, and its jobs run long enough that the death lands
+#: mid-run, so eviction, requeue and reintegration all fire.
+CHAOS_PRESETS = {
+    "chaos": ChaosPoint(nodes=4, time_slots=2, jobs=2, quantum=0.004,
+                        rounds=10, message_bytes=1024, drop=0.02, dup=0.01,
+                        corrupt=0.005, jitter=0.05, sram=200.0, stall=0.05,
+                        crash=0.02),
+    "failstop": ChaosPoint(nodes=4, time_slots=2, jobs=2, quantum=0.004,
+                           rounds=600, message_bytes=1024, failstops=1,
+                           rejoin=True, requeue=True),
+}
+
+
 def run_chaos_point(point: ChaosPoint) -> dict:
     """Run one seeded chaos simulation and report (deterministically)."""
     faults = point.fault_spec()
@@ -273,6 +290,8 @@ def run_chaos_campaign(base: ChaosPoint, runs: int = 1,
     the run index, so adding/removing/parallelising runs never changes
     any other run's stream.
     """
+    if runs < 1:
+        raise ConfigError(f"runs must be at least 1, got {runs}")
     points = [replace(base, seed=point_seed(base.seed, f"chaos:run={i}"))
               for i in range(runs)]
     return run_points(_chaos_worker, points, workers=workers)

@@ -1,9 +1,6 @@
 """Engine-level tests: pragmas, reporters, baseline diffing, CLI."""
 
 import json
-from pathlib import Path
-
-import pytest
 
 from repro.analysis.simlint import (
     all_rules,
@@ -155,7 +152,7 @@ def test_overlapping_paths_count_each_file_once(tmp_path):
     assert len(result.findings) == 1
 
 
-# ------------------------------------------------------------------- caching
+# ------------------------------------------------------------ project scope
 def _tree(tmp_path, sources):
     for name, src in sources.items():
         p = tmp_path / name
@@ -164,74 +161,23 @@ def _tree(tmp_path, sources):
     return tmp_path
 
 
-def test_cache_serves_a_warm_tree_without_reparsing(tmp_path):
-    from repro.analysis.simlint import LintCache
-
-    _tree(tmp_path, {"a.py": BAD, "b.py": "x = 1\n"})
-    cache = LintCache(tmp_path / "cache.json")
-    cold = lint_paths([tmp_path], root=tmp_path, cache=cache)
-    cache.save()
-    assert cold.cache_hits == 0 and cold.cache_misses == 2
-
-    warm_cache = LintCache(tmp_path / "cache.json")
-    warm = lint_paths([tmp_path], root=tmp_path, cache=warm_cache)
-    assert warm.cache_hits == 2 and warm.cache_misses == 0
-    assert [f.to_dict() for f in warm.findings] == \
-        [f.to_dict() for f in cold.findings]
-
-
-def test_cache_invalidates_on_file_edit(tmp_path):
-    from repro.analysis.simlint import LintCache
-
-    _tree(tmp_path, {"a.py": "x = 1\n"})
-    cache = LintCache(tmp_path / "cache.json")
-    lint_paths([tmp_path], root=tmp_path, cache=cache)
-    cache.save()
-
-    (tmp_path / "a.py").write_text(BAD)
-    warm = lint_paths([tmp_path], root=tmp_path,
-                      cache=LintCache(tmp_path / "cache.json"))
-    assert warm.cache_misses == 1
-    assert [f.rule for f in warm.findings] == ["SIM001"]
-
-
-def test_cache_invalidates_on_rule_inventory_change(tmp_path):
-    from repro.analysis.simlint import LintCache
-
-    _tree(tmp_path, {"a.py": BAD})
-    active = all_rules()
-    cache = LintCache(tmp_path / "cache.json")
-    lint_paths([tmp_path], root=tmp_path, rules=active, cache=cache)
-    cache.save()
-
-    # Same tree, smaller inventory: nothing may be served stale.
-    warm = lint_paths([tmp_path], root=tmp_path, rules=active[:3],
-                      cache=LintCache(tmp_path / "cache.json"))
-    assert warm.cache_hits == 0 and warm.cache_misses == 1
-
-
 def test_project_scope_results_invalidate_when_any_file_changes(tmp_path):
-    from repro.analysis.simlint import LintCache
-
     helper = ("import time\n\n"
               "def now():\n"
               "    return time.time()  # simlint: ignore[SIM001] -- bench\n")
     caller = ("from helper import now\n\n"
               "def step(self):\n    self.t = now()\n")
     _tree(tmp_path, {"helper.py": helper, "caller.py": caller})
-    cache = LintCache(tmp_path / "cache.json")
-    clean = lint_paths([tmp_path], root=tmp_path, cache=cache)
-    cache.save()
+    clean = lint_paths([tmp_path], root=tmp_path)
     assert clean.findings == []
 
     # Dropping the pragma in helper.py must re-taint the *caller* even
     # though caller.py's bytes are unchanged.
     (tmp_path / "helper.py").write_text(
         "import time\n\ndef now():\n    return time.time()\n")
-    warm = lint_paths([tmp_path], root=tmp_path,
-                      cache=LintCache(tmp_path / "cache.json"))
+    again = lint_paths([tmp_path], root=tmp_path)
     assert any(f.rule == "SIM011" and f.path == "caller.py"
-               for f in warm.findings)
+               for f in again.findings)
 
 
 # --------------------------------------------------------------------- SARIF
@@ -277,40 +223,6 @@ def test_cli_lint_exits_nonzero_on_planted_wall_clock(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "SIM001" in out
-
-
-def test_cli_lint_cache_file_lints_every_path(tmp_path, capsys):
-    """``--cache-file PATH`` takes exactly one value: both paths after it
-    are linted, and nothing is written beside them."""
-    for name in ("src", "benchmarks"):
-        (tmp_path / name).mkdir()
-        (tmp_path / name / f"{name}_mod.py").write_text(BAD)
-    cache = tmp_path / "cache.json"
-    rc = main(["lint", "--cache-file", str(cache), str(tmp_path / "src"),
-               str(tmp_path / "benchmarks"), "--no-baseline",
-               "--format", "json"])
-    assert rc == 1
-    doc = json.loads(capsys.readouterr().out)
-    linted = {Path(f["path"]).name for f in doc["findings"]}
-    assert linted == {"src_mod.py", "benchmarks_mod.py"}
-    assert sorted(p.name for p in tmp_path.iterdir()) == \
-        ["benchmarks", "cache.json", "src"]
-    for name in ("src", "benchmarks"):
-        assert [p.name for p in (tmp_path / name).iterdir()] == \
-            [f"{name}_mod.py"]
-
-
-def test_cli_lint_cache_file_rejects_a_directory(tmp_path, capsys):
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "mod.py").write_text(BAD)
-    with pytest.raises(SystemExit) as exc:
-        main(["lint", "--cache-file", str(tmp_path / "src"),
-              str(tmp_path / "src"), "--no-baseline"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert "is a directory" in captured.err
-    assert "SIM001" not in captured.out          # nothing was linted
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
 
 
 def test_cli_lint_clean_tree_exits_zero(capsys):

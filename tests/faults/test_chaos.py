@@ -146,3 +146,13 @@ class TestSeeding:
         a = run_chaos_point(small_point(drop=0.05, jitter=0.1))
         b = run_chaos_point(small_point(drop=0.05, jitter=0.1, seed=99))
         assert a["injected"] != b["injected"]
+
+
+class TestCampaign:
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_fewer_than_one_run_rejected(self, runs):
+        from repro.errors import ConfigError
+        from repro.faults.chaos import run_chaos_campaign
+
+        with pytest.raises(ConfigError, match="runs must be at least 1"):
+            run_chaos_campaign(small_point(), runs=runs)

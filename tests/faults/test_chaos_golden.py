@@ -14,40 +14,58 @@ a documented reason:
     PYTHONPATH=src python -m repro chaos --runs 3 --drop 0.05 \
         --dup 0.02 --corrupt 0.01 --rounds 20 \
         > tests/faults/fixtures/golden_chaos_drops.json
+
+Each test replays its command through the CLI and also checks that the
+``--smoke`` campaigns start from the shared ``CHAOS_PRESETS``, so the
+CLI preset and the fixture cannot drift apart.
 """
 
-import json
+from dataclasses import replace
 from pathlib import Path
 
-from repro.faults.chaos import ChaosPoint, run_chaos_campaign
+import pytest
+
+import repro.faults.chaos as chaos
+from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _campaign_stdout(point, runs):
-    """Exactly what the chaos CLI prints (plus its trailing newline)."""
-    results = run_chaos_campaign(point, runs=runs, workers=1)
-    return json.dumps(results if runs > 1 else results[0], indent=2) + "\n"
+@pytest.fixture
+def campaign_bases(monkeypatch):
+    """The base point of every campaign the CLI starts."""
+    bases = []
+    real = chaos.run_chaos_campaign
+
+    def spy(base, **kwargs):
+        bases.append(base)
+        return real(base, **kwargs)
+
+    monkeypatch.setattr(chaos, "run_chaos_campaign", spy)
+    return bases
+
+
+def _cli_stdout(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
 
 
 class TestGoldenCampaigns:
-    def test_smoke_preset_byte_identical(self):
-        point = ChaosPoint(seed=0, nodes=4, time_slots=2, jobs=2,
-                           quantum=0.004, rounds=10, message_bytes=1024,
-                           drop=0.02, dup=0.01, corrupt=0.005, jitter=0.05,
-                           sram=200.0, stall=0.05, crash=0.02)
-        golden = (FIXTURES / "golden_chaos_smoke.json").read_text()
-        assert _campaign_stdout(point, runs=1) == golden
+    def test_smoke_preset_byte_identical(self, capsys, campaign_bases):
+        out = _cli_stdout(["chaos", "--smoke"], capsys)
+        assert campaign_bases == [replace(chaos.CHAOS_PRESETS["chaos"],
+                                          seed=0)]
+        assert out == (FIXTURES / "golden_chaos_smoke.json").read_text()
 
-    def test_failstop_preset_byte_identical(self):
-        point = ChaosPoint(seed=0, nodes=4, time_slots=2, jobs=2,
-                           quantum=0.004, rounds=600, message_bytes=1024,
-                           failstops=1, rejoin=True, requeue=True)
-        golden = (FIXTURES / "golden_chaos_failstop.json").read_text()
-        assert _campaign_stdout(point, runs=2) == golden
+    def test_failstop_preset_byte_identical(self, capsys, campaign_bases):
+        out = _cli_stdout(["chaos", "--failstop", "1", "--smoke",
+                           "--runs", "2"], capsys)
+        assert campaign_bases == [replace(chaos.CHAOS_PRESETS["failstop"],
+                                          seed=0)]
+        assert out == (FIXTURES / "golden_chaos_failstop.json").read_text()
 
-    def test_drop_campaign_byte_identical(self):
-        point = ChaosPoint(seed=0, rounds=20, drop=0.05, dup=0.02,
-                           corrupt=0.01)
-        golden = (FIXTURES / "golden_chaos_drops.json").read_text()
-        assert _campaign_stdout(point, runs=3) == golden
+    def test_drop_campaign_byte_identical(self, capsys):
+        out = _cli_stdout(["chaos", "--runs", "3", "--drop", "0.05",
+                           "--dup", "0.02", "--corrupt", "0.01",
+                           "--rounds", "20"], capsys)
+        assert out == (FIXTURES / "golden_chaos_drops.json").read_text()

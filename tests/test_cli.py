@@ -81,3 +81,121 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["no-such-figure"])
+
+
+class TestSmokeGate:
+    """``--smoke`` must exit 1 when the ``-j2`` rerun diverges from the
+    serial run, when an invariant audit fails, and when explain's cause
+    attribution is broken.  Each test patches the sweep so the bad case
+    is forced; the patched sweep runs serially, to stay cheap, and
+    perturbs the result it returns as if it had run on ``workers``."""
+
+    @staticmethod
+    def _patch(monkeypatch, module, name, perturb):
+        import importlib
+
+        mod = importlib.import_module(module)
+        real = getattr(mod, name)
+
+        def sweep(*args, **kwargs):
+            workers = kwargs.pop("workers", 1)
+            return perturb(real(*args, workers=1, **kwargs), workers)
+
+        monkeypatch.setattr(mod, name, sweep)
+
+    def test_policies_divergence_exits_1(self, monkeypatch, capsys):
+        from dataclasses import replace
+
+        def diverge(points, workers):
+            if workers != 2:
+                return points
+            return [replace(points[0],
+                            aggregate_mbps=points[0].aggregate_mbps + 1.0)
+                    ] + points[1:]
+
+        self._patch(monkeypatch, "repro.experiments.figure_policies",
+                    "run_figure_policies", diverge)
+        assert main(["figure_policies", "--smoke"]) == 1
+        assert "diverged" in capsys.readouterr().out
+
+    def test_reliability_divergence_exits_1(self, monkeypatch, capsys):
+        from dataclasses import replace
+
+        def diverge(points, workers):
+            if workers != 2:
+                return points
+            return [replace(points[0],
+                            goodput_mbps=points[0].goodput_mbps + 1.0)
+                    ] + points[1:]
+
+        self._patch(monkeypatch, "repro.experiments.figure_reliability",
+                    "run_figure_reliability", diverge)
+        assert main(["figure_reliability", "--smoke"]) == 1
+        assert "diverged" in capsys.readouterr().out
+
+    def test_reliability_failed_audit_exits_1(self, monkeypatch, capsys):
+        from dataclasses import replace
+
+        def break_audit(points, workers):
+            return [replace(points[0], audit_ok=False)] + points[1:]
+
+        self._patch(monkeypatch, "repro.experiments.figure_reliability",
+                    "run_figure_reliability", break_audit)
+        assert main(["figure_reliability", "--smoke"]) == 1
+        assert "invariant audit" in capsys.readouterr().out
+
+    def test_explain_divergence_exits_1(self, monkeypatch, capsys):
+        import copy
+
+        def diverge(results, workers):
+            if workers != 2:
+                return results
+            results = copy.deepcopy(results)
+            results[0]["point"]["latency"]["max"] += 1e-6
+            return results
+
+        self._patch(monkeypatch, "repro.telemetry.explain", "run_explain",
+                    diverge)
+        assert main(["explain", "--smoke"]) == 1
+        assert "diverged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field,message", [
+        ("mismatches", "1 attribution sum mismatches"),
+        ("incomplete", "1 incomplete messages"),
+    ])
+    def test_explain_attribution_failure_exits_1(self, monkeypatch, capsys,
+                                                 field, message):
+        def break_attribution(results, workers):
+            results[-1]["point"][field] = 1
+            return results
+
+        self._patch(monkeypatch, "repro.telemetry.explain", "run_explain",
+                    break_attribution)
+        assert main(["explain", "--smoke"]) == 1
+        assert message in capsys.readouterr().out
+
+
+class TestBadInput:
+    """A zero the user typed reaches the model and fails fast with
+    ConfigError; it is never swapped for a default or run as an empty
+    sweep."""
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--runs", "0"],
+        ["figure_reliability", "--rounds", "0", "--strategies", "nack",
+         "--drops", "0"],
+        ["figure6", "--quantum", "0", "--jobs", "1", "--sizes", "4096"],
+        ["figure_policies", "--quantum", "0", "--jobs", "1",
+         "--policies", "occamy"],
+        ["explain", "--quantum", "0", "--jobs", "1"],
+        ["explain", "--messages", "0", "--jobs", "1"],
+        ["figure7", "--switches", "0", "--nodes", "2"],
+        ["figure8", "--switches", "0", "--nodes", "2"],
+        ["figure9", "--switches", "0", "--nodes", "2"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_zero_is_rejected(self, argv, capsys):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            main(argv)
+        assert capsys.readouterr().out == ""
