@@ -268,7 +268,7 @@ class ReliableFirmware(LanaiFirmware):
         fields["node"] = self.nic.node_id
         return fields
 
-    def _inject(self, packet: Packet, pickup_time: float = 0.0):
+    def _prepare_send(self, packet: Packet) -> None:
         if packet.ptype is PacketType.DATA:
             entry = self._unacked.get(packet.seq)
             if entry is None:
@@ -288,7 +288,6 @@ class ReliableFirmware(LanaiFirmware):
             entry.attempts += 1
             entry.sent_at = self.sim.now
             self.strategy.on_data_sent(entry)
-        yield from super()._inject(packet, pickup_time)
 
     def _drain_pending(self):
         """Execute queued retransmit requests (blocking-safe context only)."""
@@ -400,9 +399,10 @@ class ReliableFirmware(LanaiFirmware):
         self.strategy.on_job_forgotten(job_id)
 
     # ================================================================== receive side
-    def _receive_one(self, packet: Packet):
-        # (Per-packet processing time is slept by the caller, as in the
-        # base class.)
+    def _accept(self, packet: Packet):
+        # (Per-packet processing time is slept by the run loop, as in
+        # the base class; so is the DMA of a packet this returns a
+        # context for.)
         self.packets_received += 1
         if packet.corrupted:
             # Failed CRC: discard without acknowledgement; the sender's
@@ -411,7 +411,7 @@ class ReliableFirmware(LanaiFirmware):
             if self.tracer:
                 self.tracer.record("pkt-crc-discard", node=self.nic.node_id,
                                    seq=packet.seq, job=packet.job_id)
-            return
+            return None
 
         ptype = packet.ptype
         if ptype is PacketType.ACK or ptype is PacketType.NACK:
@@ -427,11 +427,10 @@ class ReliableFirmware(LanaiFirmware):
                 # would deadlock the card).
                 self.sim.process(self._drain_pending(),
                                  name=f"rel-resend-{self.nic.node_id}")
-            return
+            return None
         if ptype is not PacketType.DATA:
             self.packets_received -= 1  # super() recounts it
-            yield from super()._receive_one(packet)
-            return
+            return super()._accept(packet)
 
         seq = packet.seq
         if seq in self._seen:
@@ -443,26 +442,30 @@ class ReliableFirmware(LanaiFirmware):
             if self.tracer:
                 self.tracer.record("pkt-dup-discard", node=self.nic.node_id,
                                    seq=seq, job=packet.job_id)
-            return
+            return None
         ctx = self._contexts.get(packet.job_id)
         if ctx is None or ctx.state is not ContextState.ACTIVE:
             # Not an error under faults: withhold the ack and let the
             # sender recover once the context is back.
             self.unreachable_discards += 1
-            return
+            return None
         if packet.piggyback_refill and seq not in self._piggybacked:
             # Applied at most once per seq.  The dedup-by-_seen check
             # above is NOT enough: a copy can clear it, apply the
-            # refill, then get discarded during the DMA wait below
-            # (context swapped out mid-transfer) without ever reaching
-            # ``_seen.add`` — the retransmit copy would then refill the
-            # same credits a second time and corrupt flow control.
+            # refill, then get discarded during the DMA wait (context
+            # swapped out mid-transfer, see _deliver) without ever
+            # reaching ``_seen.add`` — the retransmit copy would then
+            # refill the same credits a second time and corrupt flow
+            # control.
             self._piggybacked.add(seq)
             self._delayed_credit(ctx, packet.src_node, packet.piggyback_refill)
-        yield self.nic.dma.request(packet.size_bytes)
+        return ctx
+
+    def _deliver(self, ctx, packet: Packet) -> None:
         if ctx.state is not ContextState.ACTIVE:
             self.unreachable_discards += 1
             return
+        seq = packet.seq
         self._seen.add(seq)
         ctx.recv_queue.append(packet)
         ctx.stats.packets_received += 1

@@ -12,20 +12,18 @@ bandwidth) and interact with the context's queues and credits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import ConfigError, CreditError
 from repro.fm.context import FMContext
 from repro.fm.firmware import LanaiFirmware
-from repro.fm.packet import Packet, PacketType
+from repro.fm.packet import Packet, PacketType, data_packet
 from repro.hardware.node import HostNode
 from repro.sim.trace import NullTracer, Tracer
 
 
-@dataclass(frozen=True)
-class Message:
-    """A fully reassembled application message.
+class Message(NamedTuple):
+    """A fully reassembled application message (an immutable value).
 
     ``tag`` and ``payload`` exist for the benefit of higher layers (the
     MPI shim in :mod:`repro.mpi`): the simulation models bytes and
@@ -137,13 +135,10 @@ class FMLibrary:
             if stall_start >= 0.0:
                 tracer.record("stall", node=src_node, job=job_id, msg=msg_id,
                               cause="credit", dur=sim.now - stall_start)
-            packet = Packet(
-                PacketType.DATA,
-                src_node=src_node, dst_node=dst_node,
-                job_id=job_id, src_rank=src_rank, dst_rank=dst_rank,
-                payload_bytes=nbytes, msg_id=msg_id,
-                piggyback_refill=credits.take_piggyback(dst_node),
-                tag=tag, payload_obj=payload_obj,
+            packet = data_packet(
+                src_node, dst_node, job_id, src_rank, dst_rank, nbytes,
+                msg_id, 0, 1, credits.take_piggyback(dst_node),
+                tag, payload_obj,
             )
             send_queue.append(packet)
             if want_enq:
@@ -194,15 +189,10 @@ class FMLibrary:
             if stall_start >= 0.0:
                 tracer.record("stall", node=src_node, job=job_id, msg=msg_id,
                               cause="credit", dur=sim.now - stall_start)
-            packet = Packet(
-                PacketType.DATA,
-                src_node=src_node, dst_node=dst_node,
-                job_id=job_id, src_rank=src_rank, dst_rank=dst_rank,
-                payload_bytes=payload, msg_id=msg_id,
-                frag_index=index, frag_count=nfrags,
-                piggyback_refill=credits.take_piggyback(dst_node),
-                tag=tag,
-                payload_obj=payload_obj if index == last else None,
+            packet = data_packet(
+                src_node, dst_node, job_id, src_rank, dst_rank, payload,
+                msg_id, index, nfrags, credits.take_piggyback(dst_node),
+                tag, payload_obj if index == last else None,
             )
             send_queue.append(packet)
             if want_enq:
@@ -280,9 +270,8 @@ class FMLibrary:
             nbytes = (frag_count - 1) * self._payload_cap + packet.payload_bytes
         self.messages_received += 1
         self.bytes_received += nbytes
-        message = Message(src_rank=packet.src_rank, nbytes=nbytes,
-                          msg_id=packet.msg_id, completed_at=self.sim.now,
-                          tag=packet.tag, payload=packet.payload_obj)
+        message = Message(packet.src_rank, nbytes, packet.msg_id,
+                          self.sim.now, packet.tag, packet.payload_obj)
         if self.tracer:
             self.tracer.record("msg-recv", node=ctx.node_id, job=ctx.job_id,
                                src_rank=packet.src_rank, nbytes=nbytes,

@@ -108,3 +108,49 @@ class Packet:
             f"<Pkt {self.ptype.value} {self.src_node}->{self.dst_node}"
             f" job={self.job_id} msg={self.msg_id}.{self.frag_index} {self.payload_bytes}B>"
         )
+
+
+_new_packet = object.__new__
+
+
+def data_packet(src_node: int, dst_node: int, job_id: int, src_rank: int,
+                dst_rank: int, payload_bytes: int, msg_id: int,
+                frag_index: int, frag_count: int, piggyback_refill: int,
+                tag: int, payload_obj: object,
+                _next_seq=_seq_counter.__next__) -> Packet:
+    """A DATA fragment, built positionally for ``FMLibrary.send``.
+
+    Equal field for field (``seq`` aside) to ``Packet(PacketType.DATA,
+    ...)`` with the same arguments, and draws its ``seq`` from the same
+    counter, but skips the keyword parsing and the ``__post_init__``
+    call — the send path builds one per packet.  It makes the checks a
+    DATA packet needs; every other caller keeps the validating
+    ``Packet(...)``.
+    """
+    if payload_bytes < 0:
+        raise ConfigError(f"negative payload {payload_bytes}")
+    if not 0 <= frag_index < frag_count:
+        raise ConfigError(
+            f"fragment index {frag_index} out of range for count {frag_count}"
+        )
+    packet = _new_packet(Packet)
+    packet.ptype = PacketType.DATA
+    packet.src_node = src_node
+    packet.dst_node = dst_node
+    packet.job_id = job_id
+    packet.src_rank = src_rank
+    packet.dst_rank = dst_rank
+    packet.payload_bytes = payload_bytes
+    packet.msg_id = msg_id
+    packet.frag_index = frag_index
+    packet.frag_count = frag_count
+    packet.piggyback_refill = piggyback_refill
+    packet.refill_credits = 0
+    packet.ack_seq = -1
+    packet.rel_seq = -1
+    packet.tag = tag
+    packet.payload_obj = payload_obj
+    packet.corrupted = False
+    packet.seq = _next_seq()
+    packet.size_bytes = Packet.HEADER_BYTES + payload_bytes
+    return packet

@@ -89,8 +89,15 @@ class PacketQueue:
         return list(self._items)
 
     def on_nonempty(self, fn: Callable[[], None]) -> None:
-        """Register a kick: ``fn()`` runs whenever a packet is appended to
-        a previously observed-empty queue (the firmware's wakeup)."""
+        """Register a kick: ``fn()`` runs after *every* append, whatever
+        the queue held before (the firmware's wakeup).
+
+        The callee filters: ``LanaiFirmware.wake`` triggers its kick
+        event only while the run loop is parked on it, so an append to a
+        queue the loop is draining costs one cheap call, while an append
+        to a queue the halt bit is holding still wakes the parked loop
+        for one more pass.
+        """
         self._nonempty_callbacks.append(fn)
 
     # -- mutation ------------------------------------------------------------

@@ -53,9 +53,15 @@ class DmaEngine:
         (the kernel's bare-number sleep); :meth:`transfer` wraps it in an
         event for callers that need callbacks.
         """
-        now = self.sim.now
-        start = max(now, self._free_at)
-        done = start + self.transfer_time(nbytes)
+        # One call per received packet: transfer_time() and max() are
+        # inlined (same checks, same float expressions).
+        if nbytes < 0:
+            raise ConfigError(f"negative DMA size {nbytes}")
+        now = self.sim._now
+        free_at = self._free_at
+        start = free_at if free_at > now else now
+        spec = self.spec
+        done = start + (spec.setup_time + nbytes / spec.bandwidth)
         self._free_at = done
         self.bytes_moved += nbytes
         self.transfers += 1

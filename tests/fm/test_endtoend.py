@@ -1,11 +1,15 @@
 """Integration tests: full FM stack over the simulated fabric."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError, CreditError
+from repro.fm.api import Message
 from repro.fm.buffers import FullBuffer, StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.packet import Packet, PacketType
 from repro.sim import Simulator
 from repro.units import mb_per_second
 
@@ -140,6 +144,84 @@ class TestPointToPoint:
         piggy = (a.context.credits.refills_piggybacked
                  + b.context.credits.refills_piggybacked)
         assert piggy > 0, "reverse data traffic should piggyback refills"
+
+
+class TestSendPathValues:
+    """FM_send's checks and the values it builds on the fast paths."""
+
+    def test_send_rejects_negative_size_and_self_send(self, sim):
+        net, _ = p2p_network(sim)
+        sender, _ = net.create_job(1, [0, 1], FullBuffer())
+        with pytest.raises(ConfigError, match="negative message size"):
+            next(sender.library.send(1, -1))
+        with pytest.raises(ConfigError, match="self-sends"):
+            next(sender.library.send(0, 100))
+
+    @pytest.mark.parametrize("nfrags", [1, 6])
+    def test_queued_fragments_match_validating_packets(self, sim, nfrags):
+        net, config = p2p_network(sim)
+        sender, _ = net.create_job(1, [0, 1], FullBuffer())
+        net.node(0).nic.set_halt_bit()  # keep the fragments in the queue
+        cap = config.payload_bytes
+        nbytes = cap * (nfrags - 1) + 77
+        payload = object()
+
+        def tx():
+            yield from sender.library.send(1, nbytes, tag=5, payload=payload)
+
+        sim.run_until_processed(sim.process(tx()), max_events=100_000)
+        queued = sender.context.send_queue.snapshot()
+        assert len(queued) == nfrags
+        for index, packet in enumerate(queued):
+            last = index == nfrags - 1
+            expected = Packet(
+                PacketType.DATA, src_node=0, dst_node=1, job_id=1,
+                src_rank=0, dst_rank=1, payload_bytes=77 if last else cap,
+                msg_id=packet.msg_id, frag_index=index, frag_count=nfrags,
+                tag=5, payload_obj=payload if last else None,
+            )
+            assert dataclasses.replace(expected, seq=packet.seq) == packet
+            assert packet.size_bytes == expected.size_bytes
+
+
+class TestMessage:
+    def test_fields_and_defaults(self):
+        assert Message._fields == ("src_rank", "nbytes", "msg_id",
+                                   "completed_at", "tag", "payload")
+        msg = Message(src_rank=1, nbytes=96, msg_id=7, completed_at=0.5)
+        assert (msg.tag, msg.payload) == (0, None)
+        assert msg.nbytes == 96 and msg.completed_at == 0.5
+
+    def test_value_equality(self):
+        a = Message(1, 96, 7, 0.5, tag=3, payload="x")
+        assert a == Message(src_rank=1, nbytes=96, msg_id=7,
+                            completed_at=0.5, tag=3, payload="x")
+        assert a != Message(1, 96, 8, 0.5, tag=3, payload="x")
+        assert hash(a) == hash(Message(1, 96, 7, 0.5, 3, "x"))
+
+    def test_rejects_attribute_assignment(self):
+        msg = Message(1, 96, 7, 0.5)
+        with pytest.raises(AttributeError):
+            msg.nbytes = 1
+        with pytest.raises(AttributeError):
+            msg.extra = 1
+
+    def test_extract_returns_the_message(self, sim):
+        net, _ = p2p_network(sim)
+        sender, receiver = net.create_job(1, [0, 1], FullBuffer())
+        got = []
+
+        def tx():
+            yield from sender.library.send(1, 300, tag=4, payload="p")
+
+        def rx():
+            got.extend((yield from receiver.library.extract_messages(1)))
+
+        sim.process(tx())
+        sim.run_until_processed(sim.process(rx()), max_events=100_000)
+        (msg,) = got
+        assert msg == Message(0, 300, msg.msg_id, msg.completed_at, 4, "p")
+        assert msg.completed_at > 0.0
 
 
 class TestBandwidthShape:

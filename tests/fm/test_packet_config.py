@@ -1,11 +1,13 @@
 """Unit tests for packets, FMConfig, and buffer-partitioning policies."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.fm.buffers import ContextGeometry, FullBuffer, StaticPartition
 from repro.fm.config import FMConfig
-from repro.fm.packet import Packet, PacketType
+from repro.fm.packet import Packet, PacketType, data_packet
 
 
 class TestPacket:
@@ -139,3 +141,42 @@ class TestContextGeometry:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
             ContextGeometry(recv_packets=-1, send_packets=0, initial_credits=0)
+
+
+def _fields_but_seq(packet):
+    return {f.name: getattr(packet, f.name)
+            for f in dataclasses.fields(Packet) if f.name != "seq"}
+
+
+class TestDataPacket:
+    """``data_packet`` is FM_send's positional DATA constructor."""
+
+    @pytest.mark.parametrize("nfrags", [1, 6])
+    def test_matches_the_validating_constructor(self, nfrags):
+        payload_obj = object()
+        for index in range(nfrags):
+            last = index == nfrags - 1
+            args = dict(src_node=3, dst_node=5, job_id=7, src_rank=1,
+                        dst_rank=2, payload_bytes=100 if last else 1536,
+                        msg_id=42, frag_index=index, frag_count=nfrags,
+                        piggyback_refill=index, tag=9,
+                        payload_obj=payload_obj if last else None)
+            fast = data_packet(*args.values())
+            slow = Packet(PacketType.DATA, **args)
+            assert _fields_but_seq(fast) == _fields_but_seq(slow)
+            assert fast.size_bytes == Packet.HEADER_BYTES + args["payload_bytes"]
+            assert fast.is_data and fast.is_last_fragment is last
+
+    def test_draws_seq_from_the_packet_counter(self):
+        a = Packet(PacketType.DATA, 0, 1)
+        b = data_packet(0, 1, 1, 0, 1, 10, 1, 0, 1, 0, 0, None)
+        c = Packet(PacketType.DATA, 0, 1)
+        assert a.seq < b.seq < c.seq
+
+    def test_makes_the_send_path_checks(self):
+        with pytest.raises(ConfigError, match="negative payload"):
+            data_packet(0, 1, 1, 0, 1, -1, 1, 0, 1, 0, 0, None)
+        with pytest.raises(ConfigError, match="out of range"):
+            data_packet(0, 1, 1, 0, 1, 10, 1, 2, 2, 0, 0, None)
+        with pytest.raises(ConfigError, match="out of range"):
+            data_packet(0, 1, 1, 0, 1, 10, 1, -1, 2, 0, 0, None)
