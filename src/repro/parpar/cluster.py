@@ -313,6 +313,9 @@ class ParParCluster:
 
     def run_for(self, seconds: float, max_events: int = 200_000_000) -> None:
         """Advance the simulation by ``seconds`` of simulated time."""
+        if not seconds >= 0:
+            raise ConfigError(
+                f"run_for() needs a non-negative number of seconds, got {seconds!r}")
         self.sim.run(until=self.sim.now + seconds, max_events=max_events)
 
     # ------------------------------------------------------------------ inspection

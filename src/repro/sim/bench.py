@@ -195,8 +195,8 @@ def bench_far_horizon(n: int) -> float:
 def bench_sleep_profiled(n: int, stride: int = 32) -> float:
     """The ``sleep`` pattern with the sampling kernel profiler attached.
 
-    Measures what telemetry *costs*: the profiled specialisation of the
-    generated run loop observes every ``stride``-th event (exact event
+    Measures what telemetry *costs*: the run loop observes every
+    ``stride``-th event when a profiler is attached (exact event
     totals, scaled attribution — see :mod:`repro.telemetry.profiler`),
     so the ratio against :func:`bench_sleep` is the price of
     ``--telemetry`` at the stride the sweeps use.  Pass ``stride=1`` to

@@ -10,15 +10,12 @@ the event count and the simulated time that elapsed while that
 component's event was next in line, answering "where do my 10^7 events
 go?" for experiment-scale runs.
 
-The zero-cost-when-off guard follows the :class:`~repro.sim.trace.Tracer`
-truthiness idiom, but lives *outside* the hot loop: the kernel checks the
-profiler once per ``run()`` call, not per event.  With no profiler
-attached (or a disabled one) the generated plain run loops in
-``sim/core.py`` run untouched; with one attached, the kernel runs the
-*profiled* specialisation of the same generated loop — identical dispatch
-semantics with the :meth:`observe` hook compiled in — so profiled and
-unprofiled simulations produce identical results (pinned by
-``tests/telemetry/test_determinism.py``).
+The off switch follows the :class:`~repro.sim.trace.Tracer` truthiness
+idiom: a disabled profiler is stored as ``None``, and the kernel's run
+loop (``sim/core.py``) tests ``prof is not None`` around the sample, so
+an unprofiled run pays one test per dispatched entry.  Dispatch is the
+same code either way, so profiled and unprofiled simulations produce
+identical results (pinned by ``tests/telemetry/test_determinism.py``).
 
 Sampling: with ``stride=N`` the kernel calls :meth:`observe` on every
 Nth dispatched entry only, cutting profiled-run overhead to a few

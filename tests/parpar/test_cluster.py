@@ -174,6 +174,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ClusterConfig(quantum=0)
 
+    def test_run_for_advances_the_clock(self):
+        cluster = small_cluster(num_nodes=2)
+        cluster.run_for(0.01)
+        assert cluster.sim.now == pytest.approx(0.01)
+        cluster.run_for(0.0)
+        assert cluster.sim.now == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("seconds", [-0.005, float("nan"), float("-inf")])
+    def test_run_for_rejects_negative_and_nan_seconds(self, seconds):
+        from repro.errors import ConfigError
+
+        cluster = small_cluster(num_nodes=2)
+        cluster.run_for(0.01)
+        events = cluster.sim.processed_events
+        with pytest.raises(ConfigError, match="non-negative"):
+            cluster.run_for(seconds)
+        assert cluster.sim.now == pytest.approx(0.01)
+        assert cluster.sim.processed_events == events
+
     def test_with_overrides(self):
         cfg = ClusterConfig(num_nodes=4).with_overrides(quantum=0.5)
         assert cfg.quantum == 0.5 and cfg.num_nodes == 4

@@ -1,12 +1,15 @@
-"""Kernel oracle: random workloads through ``step()`` vs the fast loops.
+"""Kernel oracle: random workloads through ``step()`` vs the run loop.
 
-``Simulator.step()`` is the hand-written reference implementation of
-dispatch; the batched run loops are generated code.  This suite builds
+``Simulator.step()`` is the reference implementation of dispatch; the
+batched run loop behind ``run()`` and ``run_until_processed()`` is a
+separate, faster walk of the same calendar.  This suite builds
 randomized workloads — bare-number sleeps, explicit timeouts,
 immediately-succeeded events, failed events, AnyOf/AllOf conditions,
 cross-process interrupts, and timeouts piled onto duplicate instants —
 and executes each twice from identical initial conditions: once by
-single-stepping, once through the fast loop.  The trace (every
+single-stepping, once through the run loop — in one call, after a few
+manual steps, profiled, watching a process, or sliced by random
+horizons and event budgets and then resumed.  The trace (every
 observable action with its timestamp) and the final kernel state must
 match exactly.
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InterruptError
+from repro.errors import InterruptError, SimulationError
 from repro.sim import Simulator
 
 #: Delay alphabet with deliberate duplicates: same-instant pile-ups are
@@ -153,7 +156,7 @@ def test_step_run_mixing_matches_pure_run(procs_spec, standalone_spec, head):
 @given(procs_spec=_procs, standalone_spec=_standalone,
        stride=st.sampled_from([1, 3, 16]))
 def test_profiled_run_matches_unprofiled(procs_spec, standalone_spec, stride):
-    """The profiled loop specialisation changes nothing observable."""
+    """Profiling the run loop changes nothing observable."""
     from repro.telemetry.profiler import KernelProfiler
 
     def profiled(sim):
@@ -190,3 +193,59 @@ def test_watch_loop_matches_step_oracle(procs_spec, standalone_spec):
         return tuple(trace), sim.now, sim.processed_events
 
     assert execute_watch() == execute_oracle()
+
+
+#: Horizons for sliced runs, unsorted on purpose: one already passed is a
+#: no-op, and 0.0 and 1.0 fall on the workloads' busiest instants.
+HORIZONS = (0.0, 0.25, 1.0, 1.0, 1.75, 2.5, 3.5, 5.0, 8.0)
+_slices = st.lists(
+    st.tuples(st.sampled_from(HORIZONS),
+              st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+              st.integers(min_value=0, max_value=7)),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(procs_spec=_procs, standalone_spec=_standalone, slices=_slices,
+       mode=st.sampled_from(["plain", "profiled", "watch"]))
+def test_sliced_resumed_run_matches_step_oracle(procs_spec, standalone_spec,
+                                                slices, mode):
+    """Runs cut at random horizons and event budgets, then resumed to
+    drain, replay the step() oracle: plain and profiled ``run(until,
+    max_events)``, or ``run_until_processed(proc, max_events)``."""
+    from repro.telemetry.profiler import KernelProfiler
+
+    reached = -_INF   # the latest horizon a slice returned at
+
+    def execute_sliced():
+        nonlocal reached
+        sim = Simulator()
+        trace: list = []
+        procs = _build(sim, trace, procs_spec, standalone_spec)
+        prof = None
+        if mode == "profiled":
+            prof = sim.profiler = KernelProfiler(stride=3)
+        for horizon, budget, target in slices:
+            try:
+                if mode == "watch":
+                    sim.run_until_processed(procs[target % len(procs)],
+                                            max_events=budget)
+                else:
+                    sim.run(until=horizon, max_events=budget)
+                    reached = max(reached, horizon)
+            except SimulationError as err:
+                if "max_events" not in str(err):
+                    raise
+        sim.run()
+        if prof is not None:
+            assert prof.events == sim.processed_events
+        return tuple(trace), sim.now, sim.processed_events
+
+    trace, now, processed = execute_sliced()
+    oracle_trace, oracle_now, oracle_processed = _execute(
+        procs_spec, standalone_spec, _drain_by_step)
+    assert trace == oracle_trace
+    assert processed == oracle_processed
+    # A returned horizon leaves the clock there even past the last event.
+    assert now == max(oracle_now, reached)

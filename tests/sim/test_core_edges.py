@@ -97,6 +97,42 @@ class TestRunUntilClock:
         sim.run(until=0.5)
         assert sim.now == 1.0
 
+    def test_until_in_the_past_with_pending_entry_is_noop(self, sim):
+        fired = []
+        sim.timeout(10.0)
+        sim.run()
+        sim.timeout(10.0).add_callback(lambda ev: fired.append(sim.now))
+        sim.run(until=5.0)
+        assert sim.now == 10.0
+        assert sim.processed_events == 1
+        assert fired == []
+        sim.run()
+        assert fired == [20.0]
+
+    def test_until_in_the_past_keeps_same_instant_entries(self, sim):
+        fired = []
+        sim.timeout(1.0)
+        sim.run()
+        sim.event().succeed()
+        sim.timeout(0.0).add_callback(lambda ev: fired.append(sim.now))
+        sim.run(until=0.5)
+        assert (sim.now, sim.processed_events, fired) == (1.0, 1, [])
+        sim.run(until=1.0)
+        assert (sim.now, sim.processed_events, fired) == (1.0, 3, [1.0])
+
+    def test_nan_until_raises(self, sim):
+        sim.timeout(1.0)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0
+        assert sim.processed_events == 0
+
+    def test_infinite_until_drains_then_sets_the_clock(self, sim):
+        sim.timeout(2.0)
+        sim.run(until=float("inf"))
+        assert sim.processed_events == 1
+        assert sim.now == float("inf")
+
 
 class TestMaxEventsExhaustion:
     def test_exhaustion_reports_the_budget(self, sim):
