@@ -61,8 +61,9 @@ class HostCPU:
         (the kernel sleeps on bare numbers); use :meth:`busy_event` when
         an actual Event is needed for callbacks or conditions.
         """
-        if seconds < 0:
-            raise ConfigError(f"negative busy time {seconds}")
+        if not (seconds >= 0):  # also rejects NaN
+            raise ConfigError(
+                f"{'negative' if seconds < 0 else 'NaN'} busy time {seconds}")
         self.busy_time += seconds
         return seconds
 

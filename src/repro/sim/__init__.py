@@ -15,13 +15,14 @@ Public surface:
   SIGSTOP/SIGCONT in the gang scheduler.
 - :mod:`~repro.sim.primitives` — Gate, Store, Resource, Semaphore.
 - :class:`~repro.sim.trace.Tracer` — structured event log.
-- :class:`~repro.sim.rand.RandomStreams` — named deterministic RNG streams.
+- :class:`~repro.sim.rand.RandomStreams` — named deterministic RNG streams
+  (each a pure-Python :class:`~repro.sim.rand.PCG64Stream`).
 """
 
 from repro.sim.core import AllOf, AnyOf, Event, Simulator, Timeout
 from repro.sim.process import Process
 from repro.sim.primitives import Gate, Resource, Semaphore, Store
-from repro.sim.rand import RandomStreams
+from repro.sim.rand import PCG64Stream, RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "AnyOf",
     "Event",
     "Gate",
+    "PCG64Stream",
     "Process",
     "RandomStreams",
     "Resource",

@@ -107,6 +107,11 @@ _FREE_LIST_CAP = 8192
 _BUCKET_COMPACT = 65536
 
 
+def _bad_delay_kind(delay: float) -> str:
+    """How a rejected delay is bad, for the error message (cold path)."""
+    return "negative" if delay < 0 else "NaN"
+
+
 class _SleepWake:
     """Stand-in 'event' delivered to a process woken from a bare-number
     sleep (``yield delay``): always successful, carries no value.  Lets the
@@ -264,8 +269,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
+        if not (delay >= 0):  # also rejects NaN
+            raise SimulationError(
+                f"{_bad_delay_kind(delay)} timeout delay {delay}")
         self.sim = sim
         self.callbacks = []
         self._ok = True
@@ -405,8 +411,9 @@ class Simulator:
         free = self._free_timeouts
         if not free:
             return Timeout(self, delay, value)
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
+        if not (delay >= 0):  # also rejects NaN
+            raise SimulationError(
+                f"{_bad_delay_kind(delay)} timeout delay {delay}")
         t = free.pop()
         t.delay = delay
         # _ok is True from construction and can never change on a Timeout
@@ -528,8 +535,9 @@ class Simulator:
         silently break clock monotonicity (and the calendar's routing
         invariants, which assume no pending entry precedes ``now``).
         """
-        if delay < 0:
-            raise SimulationError(f"negative _post delay {delay}")
+        if not (delay >= 0):
+            raise SimulationError(
+                f"{_bad_delay_kind(delay)} _post delay {delay}")
         self._push(self._now + delay, event)
 
     def peek(self) -> float:
@@ -854,10 +862,10 @@ def _run_loop(sim: Simulator, watch: Any, horizon: float,
                     ncls = nxt.__class__
                     if ncls is float or ncls is int:
                         # Bare-number sleep: Simulator._push inlined.
-                        if nxt < 0:
+                        if not (nxt >= 0):
                             raise SimulationError(
-                                "process %r yielded a negative sleep %s"
-                                % (proc.name, nxt))
+                                "process %r yielded a %s sleep %s"
+                                % (proc.name, _bad_delay_kind(nxt), nxt))
                         sseq = sim._seq
                         sim._seq = sseq + 1
                         nwhen = when + nxt

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim.core import _UNSET, Event, Simulator
+from repro.sim.core import _UNSET, Event, Simulator, _bad_delay_kind
 
 
 class Process(Event):
@@ -240,9 +240,10 @@ class Process(Event):
             # Bare-number sleep: park directly in the event calendar
             # (subclasses fall back to a real Timeout so the run loop's
             # exact-class dispatch stays correct for them).
-            if nxt < 0:
+            if not (nxt >= 0):  # also rejects NaN
                 raise SimulationError(
-                    f"process {self.name!r} yielded a negative sleep {nxt}")
+                    f"process {self.name!r} yielded a "
+                    f"{_bad_delay_kind(nxt)} sleep {nxt}")
             if type(self) is Process:
                 sim = self.sim
                 self._sleep_token = sim._push(sim._now + nxt, self)

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.fm.harness import Endpoint
+from repro.sim.rand import PCG64Stream
 from repro.workloads.alltoall import (
     FENCE_BYTES,
     AllToAllStats,
@@ -90,7 +89,7 @@ def uniform_random_benchmark(rounds: int, message_bytes: int, seed: int = 0):
 
     def workload(ep: Endpoint):
         digest = hashlib.sha256(f"{seed}:{ep.rank}".encode()).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        rng = PCG64Stream(int.from_bytes(digest[:8], "little"))
 
         def destinations(_round, peers):
             return [peers[int(rng.integers(len(peers)))]]

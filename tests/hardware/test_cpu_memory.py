@@ -46,6 +46,12 @@ class TestHostCPU:
         with pytest.raises(ConfigError):
             HostCPU(sim).busy(-1.0)
 
+    def test_nan_busy_rejected(self, sim):
+        cpu = HostCPU(sim)
+        with pytest.raises(ConfigError, match="NaN busy time"):
+            cpu.busy(float("nan"))
+        assert cpu.busy_time == 0.0
+
     def test_invalid_clock_rejected(self):
         with pytest.raises(ConfigError):
             CpuSpec(clock_hz=0)

@@ -134,6 +134,69 @@ class TestRunUntilClock:
         assert sim.now == float("inf")
 
 
+class TestNaNDelays:
+    """A NaN delay is refused on every path that schedules one; before,
+    it slipped past the ``< 0`` checks and turned the clock into NaN."""
+
+    NAN = float("nan")
+
+    def test_yielded_nan_sleep_between_sleeps(self, sim):
+        log = []
+
+        def proc():
+            yield 1.0
+            log.append(sim.now)
+            yield self.NAN
+            log.append(sim.now)
+            yield 1.0
+            log.append(sim.now)
+
+        sim.process(proc())
+        with pytest.raises(SimulationError, match="NaN sleep"):
+            sim.run()
+        assert log == [1.0]
+        assert sim.now == 1.0
+
+    def test_nan_sleep_after_interrupt(self, sim):
+        """The interrupt path parks through ``Process._wait_on``."""
+        from repro.errors import InterruptError
+
+        def proc():
+            try:
+                yield 10.0
+            except InterruptError:
+                yield self.NAN
+
+        p = sim.process(proc())
+        sim.run(until=1.0)
+        p.interrupt()
+        with pytest.raises(SimulationError, match="NaN sleep"):
+            sim.run()
+        assert sim.now == 1.0
+
+    def test_fresh_and_recycled_timeout_reject_nan(self, sim):
+        assert not sim._free_timeouts
+        with pytest.raises(SimulationError, match="NaN timeout delay"):
+            sim.timeout(self.NAN)
+        sim.timeout(1.0)
+        sim.run()
+        assert sim._free_timeouts
+        with pytest.raises(SimulationError, match="NaN timeout delay"):
+            sim.timeout(self.NAN)
+        assert sim.now == 1.0
+
+    def test_post_rejects_nan(self, sim):
+        with pytest.raises(SimulationError, match="NaN _post delay"):
+            sim._post(sim.event(), self.NAN)
+        assert sim.peek() == float("inf")
+
+    def test_negative_messages_unchanged(self, sim):
+        with pytest.raises(SimulationError, match="negative timeout delay"):
+            sim.timeout(-1.0)
+        with pytest.raises(SimulationError, match="negative _post delay"):
+            sim._post(sim.event(), -1.0)
+
+
 class TestMaxEventsExhaustion:
     def test_exhaustion_reports_the_budget(self, sim):
         def ticker():

@@ -31,6 +31,7 @@ class TestExamples:
         assert "slot" in out
 
     def test_mpi_stencil(self, capsys):
+        pytest.importorskip("numpy")  # the example's arrays; not the library's
         out = run_example("mpi_stencil", capsys)
         assert "global residual" in out
         assert "packets dropped: 0" in out
